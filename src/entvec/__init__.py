@@ -10,7 +10,6 @@ embeddings for hyponymy detection.
 """
 
 from .core import (
-    CertainNonEntailmentError,
     DimensionMismatchError,
     clamp_log_odds,
     entail_backward,
@@ -68,7 +67,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertainNonEntailmentError",
     "DimensionMismatchError",
     "clamp_log_odds",
     "entail_backward",

@@ -19,6 +19,10 @@ All functions accept array-likes of shape (..., d) and reduce over the
 last axis, returning a float for 1-d inputs.  Non-finite inputs are
 rejected; callers that may hold +/-inf should clamp first (see
 ``clamp_log_odds``).
+
+The factorized failure probability sigma(-y_k) sigma(x_k) is capped at
+``MAX_FAILURE_PROB`` = 1 - 1e-12, the one saturation rule: evaluation and
+mapped training both score through these functions, and stay finite.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "CertainNonEntailmentError",
+    "MAX_FAILURE_PROB",
     "sigmoid",
     "log_sigmoid",
     "clamp_log_odds",
@@ -41,8 +45,8 @@ class DimensionMismatchError(ValueError):
     """Two vectors that must share a dimension do not."""
 
 
-class CertainNonEntailmentError(ValueError):
-    """The factorized probability of entailment underflowed to exactly 0."""
+# cap on the factorized operator's per-dimension failure probability
+MAX_FAILURE_PROB = 1.0 - 1e-12
 
 
 def sigmoid(x):
@@ -121,16 +125,11 @@ def entail_factorized(y, x):
 
     Per dimension this is log(1 - sigma(-y_k) sigma(x_k)): the chance we
     avoid the one failure mode, feature k known in x but not in y.
-    Computed with log1p for accuracy near 0.
-
-    Raises CertainNonEntailmentError when some sigma(-y_k) sigma(x_k)
-    rounds to 1, i.e. the probability underflows to exactly 0.
+    Computed with log1p for accuracy near 0.  The failure probability is
+    capped at ``MAX_FAILURE_PROB``, so the score stays finite even when a
+    feature is surely known in x and surely unknown in y.
     """
     y, x = _check_pair(y, x, "y", "x")
     fail = sigmoid(-y) * sigmoid(x)
-    if np.any(fail >= 1.0):
-        raise CertainNonEntailmentError(
-            "certain non-entailment: a feature is known in x with probability 1 "
-            "and unknown in y with probability 1"
-        )
+    np.minimum(fail, MAX_FAILURE_PROB, out=fail)
     return _reduce(np.log1p(-fail))

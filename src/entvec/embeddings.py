@@ -14,6 +14,10 @@ as 64-bit copies, since downstream log/sigmoid arithmetic wants the
 headroom.  Tokens are matched exactly: no case folding, no
 normalization, and vectors are never length-normalized, because the
 entailment operators read the raw coordinates as log-odds.
+
+Binary tokens round-trip byte for byte, invalid UTF-8 included
+(``surrogateescape``); the text format is strict UTF-8 and raises
+UnicodeEncodeError on such a token.
 """
 
 from __future__ import annotations
@@ -223,7 +227,7 @@ def load_binary(path) -> EmbeddingTable:
                     f"header promises {count} entries but the file has {i}",
                     offset=entry_offset,
                 )
-            token = token_bytes.decode("utf-8", errors="replace")
+            token = token_bytes.decode("utf-8", errors="surrogateescape")
             if token in seen:
                 raise DuplicateTokenError(
                     f"duplicate token {token!r}", offset=entry_offset
@@ -242,9 +246,8 @@ def load_binary(path) -> EmbeddingTable:
 def write_binary(table: EmbeddingTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
-        for token in table.tokens:
-            row = table.matrix[table.vocab[token]]
-            fh.write(token.encode("utf-8") + b" ")
+        for token, row in zip(table.tokens, table.matrix):
+            fh.write(token.encode("utf-8", errors="surrogateescape") + b" ")
             fh.write(row.astype("<f4").tobytes())
             fh.write(b"\n")
 
@@ -311,8 +314,7 @@ def write_text(table: EmbeddingTable, path, header: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"{len(table)} {table.dim}\n")
-        for token in table.tokens:
-            row = table.matrix[table.vocab[token]]
+        for token, row in zip(table.tokens, table.matrix):
             fh.write(token + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
 
 

@@ -11,7 +11,8 @@ counted.  Two metrics are reported:
   * direction accuracy: over the true (positive) pairs only, how often
     the score prefers the hyponym-to-hypernym direction over the
     reverse, with half credit for exact ties.  A symmetric scorer lands
-    on exactly 0.5.
+    on exactly 0.5.  ``direction_accuracy`` and ``run_eval`` share this
+    one rule (``_direction_credit``).
 
 Cross-validation folds are built by shuffling, splitting into near-equal
 test sets, and then deleting from each training set every pair that
@@ -157,6 +158,13 @@ def fifty_percent_accuracy(scores, labels):
     return accuracy, threshold
 
 
+def _direction_credit(fwd, rev) -> float:
+    """Mean credit of forward over reversed scores: 1 if greater, 0.5 if tied, else 0."""
+    if fwd.size == 0:
+        raise ValueError("need at least one positive pair")
+    return float(np.mean(np.where(fwd > rev, 1.0, np.where(fwd == rev, 0.5, 0.0))))
+
+
 def direction_accuracy(score_fn, positives) -> float:
     """Mean directional correctness of ``score_fn(hypo, hyper)`` on true pairs.
 
@@ -164,19 +172,11 @@ def direction_accuracy(score_fn, positives) -> float:
     exact ties earn half credit.
     """
     positives = list(positives)
-    if not positives:
-        raise ValueError("need at least one positive pair")
     if any(p.label != 1 for p in positives):
         raise ValueError("direction accuracy is defined over positive pairs only")
-    credit = 0.0
-    for pair in positives:
-        fwd = float(score_fn(pair.hypo, pair.hyper))
-        rev = float(score_fn(pair.hyper, pair.hypo))
-        if fwd > rev:
-            credit += 1.0
-        elif fwd == rev:
-            credit += 0.5
-    return credit / len(positives)
+    scores = np.array([(score_fn(p.hypo, p.hyper), score_fn(p.hyper, p.hypo))
+                       for p in positives], dtype=np.float64).reshape(-1, 2)
+    return _direction_credit(scores[:, 0], scores[:, 1])
 
 
 def make_folds(dataset: WordPairDataset, k: int, seed: int) -> WordPairDataset:
@@ -335,53 +335,33 @@ class EvalRequest:
     threads: int = 1
 
 
-def _interp_with_shift(interp, shift):
-    if interp.kind == "unkdup" and shift != interp.shift:
-        return interpret.Interpretation("unkdup", shift)
-    return interp
-
-
-def _operator_scores(method, hypo_mat, hyper_mat, shift):
+def _unsupervised_scores(method, hypo_mat, hyper_mat, shift):
+    """Forward and reversed scores of an operator or baseline method."""
+    if method not in OPERATOR_METHODS:
+        return (baseline_score(method, hypo_mat, hyper_mat),
+                baseline_score(method, hyper_mat, hypo_mat))
     interp_obj, op = OPERATOR_METHODS[method]
-    interp_obj = _interp_with_shift(interp_obj, shift)
-    return interpret.pair_score(hypo_mat, hyper_mat, interp_obj, op)
+    if interp_obj.kind == "unkdup" and shift != interp_obj.shift:
+        interp_obj = interpret.Interpretation("unkdup", shift)
+    return (interpret.pair_score(hypo_mat, hyper_mat, interp_obj, op),
+            interpret.pair_score(hyper_mat, hypo_mat, interp_obj, op))
 
 
-def _unsupervised_row(method, hypo_mat, hyper_mat, labels, pos_mask, shift, n_dropped):
-    if method in OPERATOR_METHODS:
-        scores = _operator_scores(method, hypo_mat, hyper_mat, shift)
-        rev = _operator_scores(method, hyper_mat, hypo_mat, shift)
-    else:
-        scores = baseline_score(method, hypo_mat, hyper_mat)
-        rev = baseline_score(method, hyper_mat, hypo_mat)
-    acc50, threshold = fifty_percent_accuracy(scores, labels)
-    fwd_pos, rev_pos = scores[pos_mask], rev[pos_mask]
-    if fwd_pos.size == 0:
-        raise ValueError("direction accuracy needs at least one positive pair")
-    dir_acc = float(np.mean(np.where(fwd_pos > rev_pos, 1.0, np.where(fwd_pos == rev_pos, 0.5, 0.0))))
-    return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)
-
-
-def _mapped_row(method, dataset, table, hypo_mat, hyper_mat, labels, pos_mask,
-                train_config, n_dropped):
+def _mapped_scores(method, dataset, table, hypo_mat, hyper_mat, train_config):
+    """Held-out forward and reversed scores, pooled over the folds."""
     from . import training  # deferred: training depends on this module's types
 
-    op = MAPPED_METHODS[method]
     cfg = train_config if train_config is not None else training.TrainConfig()
-    results = training.train(dataset, table, cfg, op)
-    n = labels.size
-    scores = np.full(n, np.nan)
-    rev = np.full(n, np.nan)
+    results = training.train(dataset, table, cfg, MAPPED_METHODS[method])
+    scores = np.full(hypo_mat.shape[0], np.nan)
+    rev = np.full(hypo_mat.shape[0], np.nan)
     for fold, trained in zip(dataset.folds, results):
         idx = np.asarray(fold.test, dtype=np.int64)
         scores[idx] = training.raw_scores(trained.model, hypo_mat[idx], hyper_mat[idx])
         rev[idx] = training.raw_scores(trained.model, hyper_mat[idx], hypo_mat[idx])
     if np.any(np.isnan(scores)):
         raise ValueError("some pairs were never assigned to a test fold")
-    acc50, threshold = fifty_percent_accuracy(scores, labels)
-    fwd_pos, rev_pos = scores[pos_mask], rev[pos_mask]
-    dir_acc = float(np.mean(np.where(fwd_pos > rev_pos, 1.0, np.where(fwd_pos == rev_pos, 0.5, 0.0))))
-    return EvalRow(method, acc50, dir_acc, threshold, int(n), n_dropped)
+    return scores, rev
 
 
 def run_eval(request: EvalRequest) -> EvalReport:
@@ -414,10 +394,13 @@ def run_eval(request: EvalRequest) -> EvalReport:
 
     def one(method):
         if method in MAPPED_METHODS:
-            return _mapped_row(method, dataset, table, hypo_mat, hyper_mat, labels, pos_mask,
-                               request.train_config, n_dropped)
-        return _unsupervised_row(method, hypo_mat, hyper_mat, labels, pos_mask,
-                                 request.shift, n_dropped)
+            scores, rev = _mapped_scores(method, dataset, table, hypo_mat, hyper_mat,
+                                         request.train_config)
+        else:
+            scores, rev = _unsupervised_scores(method, hypo_mat, hyper_mat, request.shift)
+        acc50, threshold = fifty_percent_accuracy(scores, labels)
+        dir_acc = _direction_credit(scores[pos_mask], rev[pos_mask])
+        return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)
 
     if request.threads > 1 and len(methods) > 1:
         with ThreadPoolExecutor(max_workers=request.threads) as pool:

@@ -8,11 +8,11 @@ that the pair is a true hyponym pair.  Training is plain mini-batch
 gradient descent with a constant step size and seeded shuffling, so runs
 are bitwise reproducible.
 
-The gradients flow analytically through the operator, the interpretation
-transform, and the mapping; the finite-difference agreement test is the
-contract here.  Mapped runs score in the identity (log-odds) reading:
-the duplicate/shift readings are subsumed by the freedom of a learned
-linear map, so composing them would be redundant.
+Mapped vectors are always read as log-odds and scored by the operators
+of ``core``, saturation cap included; the duplicate/shift readings are
+subsumed by the freedom of a learned linear map, so composing them would
+be redundant.  The gradients flow analytically through the operator and
+the mapping; the finite-difference agreement test is the contract here.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import log_sigmoid, sigmoid
 from .embeddings import EmbeddingTable
 from .evaluation import WordPairDataset
-from .interpret import LOG_ODDS, OPERATOR_NAMES, Interpretation, transform
+from .interpret import OPERATOR_NAMES
+from .interpret import transform  # unused; perfbench/spans.py rebinds training.transform
 
 __all__ = [
     "TrainConfig",
@@ -75,7 +77,6 @@ class TrainConfig:
 class MappingModel:
     W: np.ndarray
     tau: float
-    interp: Interpretation = LOG_ODDS
     op: str = "bwd"
 
     def __post_init__(self):
@@ -103,20 +104,30 @@ class TrainedFold:
     n_train: int
 
 
-def init_mapping(d_in: int, d_out: int, seed: int,
-                 op: str = "bwd", interp: Interpretation = LOG_ODDS) -> MappingModel:
+def init_mapping(d_in: int, d_out: int, seed: int, op: str = "bwd") -> MappingModel:
     """Fresh model with W ~ U[-1/sqrt(d_in), +1/sqrt(d_in)] and tau = 0."""
     if d_in < 1 or d_out < 1:
         raise ValueError(f"dimensions must be >= 1, got d_in={d_in}, d_out={d_out}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_in)
     w = rng.uniform(-scale, scale, size=(d_out, d_in))
-    return MappingModel(W=w, tau=0.0, interp=interp, op=op)
+    return MappingModel(W=w, tau=0.0, op=op)
 
 
 def _check_d_in(model: MappingModel, mat: np.ndarray, name: str) -> None:
     if mat.shape[-1] != model.d_in:
         raise ValueError(f"{name} has dim {mat.shape[-1]} but the mapping expects {model.d_in}")
+
+
+def _mapped_scores(op: str, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scores of "y entails x" for mapped hyponym rows y and hypernym rows x."""
+    if op == "dif":
+        return np.sum(x - y, axis=-1)
+    if op == "fwd":
+        return core.entail_forward(x, y)
+    if op == "bwd":
+        return core.entail_backward(y, x)
+    return core.entail_factorized(y, x)
 
 
 def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
@@ -125,18 +136,7 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     g_raw = np.atleast_2d(np.asarray(hyper_raw, dtype=np.float64))
     _check_d_in(model, h_raw, "hypo")
     _check_d_in(model, g_raw, "hyper")
-    h = h_raw @ model.W.T
-    g = g_raw @ model.W.T
-    if model.op == "dif":
-        return np.sum(g - h, axis=-1)
-    y = transform(h, model.interp)
-    x = transform(g, model.interp)
-    if model.op == "fwd":
-        return np.sum(sigmoid(x) * log_sigmoid(y), axis=-1)
-    if model.op == "bwd":
-        return np.sum(sigmoid(-y) * log_sigmoid(-x), axis=-1)
-    q = np.minimum(sigmoid(-y) * sigmoid(x), 1.0 - 1e-12)
-    return np.sum(np.log1p(-q), axis=-1)
+    return _mapped_scores(model.op, h_raw @ model.W.T, g_raw @ model.W.T)
 
 
 def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
@@ -145,43 +145,38 @@ def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
     return float(sigmoid(s[0] - model.tau))
 
 
-def _score_grads(model: MappingModel, h: np.ndarray, g: np.ndarray):
-    """Per-sample d(score)/d(mapped hypo) and d(score)/d(mapped hyper)."""
-    if model.op == "dif":
-        return -np.ones_like(h), np.ones_like(g)
-    y = transform(h, model.interp)
-    x = transform(g, model.interp)
-    if model.op == "fwd":
+def _score_grads(op: str, y: np.ndarray, x: np.ndarray):
+    """Per-sample d(score)/d(mapped hypo y) and d(score)/d(mapped hyper x)."""
+    if op == "dif":
+        return -np.ones_like(y), np.ones_like(x)
+    if op == "fwd":
         dx = sigmoid(x) * sigmoid(-x) * log_sigmoid(y)
         dy = sigmoid(x) * sigmoid(-y)
-    elif model.op == "bwd":
+    elif op == "bwd":
         dy = -sigmoid(-y) * sigmoid(y) * log_sigmoid(-x)
         dx = -sigmoid(-y) * sigmoid(x)
     else:
-        q = np.minimum(sigmoid(-y) * sigmoid(x), 1.0 - 1e-12)
+        q = np.minimum(sigmoid(-y) * sigmoid(x), core.MAX_FAILURE_PROB)
         dy = sigmoid(-y) * sigmoid(y) * sigmoid(x) / (1.0 - q)
         dx = -sigmoid(-y) * sigmoid(x) * sigmoid(-x) / (1.0 - q)
-    if model.interp.kind == "logodds":
-        return dy, dx
-    # both duplicate readings stack [v - a; -v - a], so gradients fold back
-    # as the positive half minus the negated half
-    d = h.shape[-1]
-    return dy[..., :d] - dy[..., d:], dx[..., :d] - dx[..., d:]
+    return dy, dx
 
 
-def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets):
+def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets, l2: float):
     n = h_raw.shape[0]
     h = h_raw @ model.W.T
     g = g_raw @ model.W.T
-    s = raw_scores(model, h_raw, g_raw)
-    u = s - model.tau
+    u = _mapped_scores(model.op, h, g) - model.tau
     p = sigmoid(u)
     bce = -(targets * log_sigmoid(u) + (1.0 - targets) * log_sigmoid(-u))
     loss = float(np.mean(bce))
     dl_ds = (p - targets) / n
-    dh, dg = _score_grads(model, h, g)
+    dh, dg = _score_grads(model.op, h, g)
     grad_w = (dg * dl_ds[:, None]).T @ g_raw + (dh * dl_ds[:, None]).T @ h_raw
     grad_tau = float(np.mean(targets - p))
+    if l2 > 0.0:
+        loss += l2 * float(np.sum(model.W * model.W))
+        grad_w = grad_w + 2.0 * l2 * model.W
     return loss, grad_w, grad_tau
 
 
@@ -197,11 +192,7 @@ def loss_and_grad(model: MappingModel, batch, l2: float = 0.0):
     h_raw = np.stack([np.asarray(b[1], dtype=np.float64) for b in batch])
     g_raw = np.stack([np.asarray(b[2], dtype=np.float64) for b in batch])
     targets = np.array([b[0].label for b in batch], dtype=np.float64)
-    loss, grad_w, grad_tau = _loss_and_grad_mats(model, h_raw, g_raw, targets)
-    if l2 > 0.0:
-        loss += l2 * float(np.sum(model.W * model.W))
-        grad_w = grad_w + 2.0 * l2 * model.W
-    return loss, grad_w, grad_tau
+    return _loss_and_grad_mats(model, h_raw, g_raw, targets, l2)
 
 
 def _resolve(pairs, indices, table: EmbeddingTable):
@@ -252,11 +243,8 @@ def train(dataset: WordPairDataset, embeddings: EmbeddingTable,
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
                 loss, grad_w, grad_tau = _loss_and_grad_mats(
-                    model, h_all[idx], g_all[idx], t_all[idx]
+                    model, h_all[idx], g_all[idx], t_all[idx], cfg.l2
                 )
-                if cfg.l2 > 0.0:
-                    loss += cfg.l2 * float(np.sum(model.W * model.W))
-                    grad_w = grad_w + 2.0 * cfg.l2 * model.W
                 model.W = model.W - cfg.step_size * grad_w
                 model.tau = model.tau - cfg.step_size * grad_tau
                 total += loss * idx.size

@@ -96,6 +96,18 @@ class TestEvalCommand:
         assert out.splitlines()[0] == "method,acc50,dir_acc,threshold,n,oov_dropped"
         assert out.splitlines()[1].startswith("mapped-dif,")
 
+    def test_saturated_pair_does_not_fail_the_eval(self, capsys, tmp_path):
+        vec_path = tmp_path / "sat.txt"
+        vec_path.write_text("up -40 0\ndown 40 0\n")
+        pair_path = tmp_path / "sat.tsv"
+        pair_path.write_text("up\tdown\t0\ndown\tup\t1\n")
+        assert main([
+            "eval", "--embeddings", str(vec_path), "--pairs", str(pair_path),
+            "--methods", "dot,logodds-fact",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["dot", "logodds-fact"]
+
     def test_missing_pairs_file(self, capsys):
         assert main([
             "eval", "--embeddings", VECTORS, "--pairs", "/nonexistent.tsv",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entvec.core import (
-    CertainNonEntailmentError,
+    MAX_FAILURE_PROB,
     DimensionMismatchError,
     clamp_log_odds,
     entail_backward,
@@ -123,9 +123,9 @@ class TestEntailFactorized:
         )
 
     def test_certain_non_entailment(self):
-        # sigma(-y) sigma(x) reaches 1 within float precision
-        with pytest.raises(CertainNonEntailmentError):
-            entail_factorized([-700.0], [700.0])
+        # sigma(-y) sigma(x) reaches 1 within float precision; the cap keeps it finite
+        assert MAX_FAILURE_PROB == 1.0 - 1e-12
+        assert entail_factorized([-700.0], [700.0]) == np.log1p(-(1.0 - 1e-12))
 
     def test_exp_score_is_probability(self):
         rng = np.random.default_rng(42)

@@ -129,6 +129,17 @@ class TestBinaryFormat:
         with pytest.raises(DuplicateTokenError):
             load_binary(path)
 
+    def test_invalid_utf8_tokens_stay_distinct_and_round_trip(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        data = (b"2 1\n" + b"a\xff " + np.float32(1).tobytes() + b"\n"
+                + b"a\xfe " + np.float32(2).tobytes() + b"\n")
+        path.write_bytes(data)
+        loaded = load_binary(path)
+        assert len(set(loaded.tokens)) == 2
+        out = tmp_path / "again.bin"
+        write_binary(loaded, out)
+        assert out.read_bytes() == data
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "vecs.bin"
         path.write_bytes(binary_bytes(1, 1, [("a", [1])]) + b"b " + b"\0" * 4)
@@ -162,6 +173,14 @@ class TestTextFormat:
         path = tmp_path / "vecs.txt"
         write_text(table, path)
         np.testing.assert_array_equal(load_text(path).matrix, matrix)
+
+    def test_invalid_utf8_token_is_rejected(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"1 1\n" + b"a\xff " + np.float32(1).tobytes() + b"\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(load_binary(path), tmp_path / "vecs.txt")
+        # a ValueError, so the command line reports it with exit status 2
+        assert issubclass(UnicodeEncodeError, ValueError)
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -130,6 +130,16 @@ class TestScoring:
                 pair_score(h, g, LOG_ODDS, op), rel=1e-12
             )
 
+    def test_saturated_fact_matches_core(self):
+        from entvec.core import entail_factorized
+
+        h = np.array([[-700.0, 0.5], [0.0, 0.0]])
+        g = np.array([[700.0, -0.5], [0.0, 0.0]])
+        model = MappingModel(W=np.eye(2), tau=0.0, op="fact")
+        scores = raw_scores(model, h, g)
+        assert np.all(np.isfinite(scores))
+        np.testing.assert_array_equal(scores, entail_factorized(h, g))
+
     def test_batch_rows_are_independent(self):
         rng = np.random.default_rng(42)
         model = MappingModel(W=rng.normal(size=(4, 4)), tau=0.0, op="bwd")
