@@ -189,8 +189,12 @@ def _cmd_graph(args) -> int:
         values = "\t".join(f"{v:.9g}" for v in result.assignments[name])
         print(f"{name}\t{values}")
     status = "converged" if result.converged else "did not converge"
+    where = ""
+    if result.largest_change is not None:
+        node, k = result.largest_change
+        where = f"; largest change at node {node!r} dimension {k}"
     print(f"{status} after {result.sweeps_used} sweeps "
-          f"(last delta {result.final_delta:.3g})", file=sys.stderr)
+          f"(last delta {result.final_delta:.3g}){where}", file=sys.stderr)
     return 0
 
 

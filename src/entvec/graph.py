@@ -13,12 +13,25 @@ evidence from its neighbours:
     constants C = prod_{k' != k} (1 - sigma(-X_src,k') sigma(X_tgt,k'))
     recomputed from the current estimates at every update.
 
-Updates sweep the nodes round-robin in declaration order (Gauss-Seidel
-style), starting from the priors, until the largest absolute change
-drops below ``tol``.  Values are clamped to +/-``clamp`` after every
-update so the sigmoids and logs stay finite; a genuinely divergent
-negative-edge term (possible when C reaches 1, e.g. in one dimension)
-saturates at the clamp instead of erroring.  NaN is always an error.
+Updates sweep the free nodes in declaration order (Gauss-Seidel style:
+each update reads the values earlier nodes got in the same sweep and the
+previous sweep's values of later ones), starting from the priors, until
+the largest absolute change drops below ``tol``.  A sweep is computed a
+wavefront level at a time: a node's level is one more than the highest
+level among its free neighbours declared before it (0 without one), so
+nodes of one level share no edge, and updating the levels in order, each
+as one array step, gives the node-by-node iterates up to floating-point
+rounding.  The cost of a sweep grows with the number of levels, the
+longest declaration-order path through the free nodes; a chain, with
+one node per level, is the worst case.
+
+Values are clamped to +/-``clamp`` after every update so the sigmoids
+and logs stay finite; a genuinely divergent negative-edge term (possible
+when C reaches 1, e.g. in one dimension) saturates at the clamp instead
+of erroring.  NaN is always an error, reported at the first node in
+declaration order that produced it.  Undamped sweeps can oscillate
+instead of converging on graphs with many sibling negative edges;
+``damping`` (e.g. 0.3) restores convergence there.
 
 Graphs can be built programmatically or parsed from a line-oriented
 text format:
@@ -117,18 +130,18 @@ def _neg_log_factors(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
 
 
 def _neg_constants(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
-    """C_k = prod_{k' != k} (1 - sigma(-x_src,k') sigma(x_tgt,k')), all k at once."""
+    """C_k = prod_{k' != k} (1 - sigma(-x_src,k') sigma(x_tgt,k')), all k at once.
+
+    Works row-wise over the last axis.  A zero factor kills every product
+    that includes it: C_k = 0 wherever a dimension other than k saturates,
+    so a row with one saturated factor keeps only that factor's C, and a row
+    with two or more is all zeros.
+    """
     logf = _neg_log_factors(x_src, x_tgt)
     zero = np.isneginf(logf)
-    n_zero = int(np.count_nonzero(zero))
-    if n_zero == 0:
-        return np.exp(logf.sum() - logf)
-    # A zero factor kills every product that includes it.
-    out = np.zeros_like(logf)
-    if n_zero == 1:
-        k0 = int(np.flatnonzero(zero)[0])
-        rest = np.delete(logf, k0)
-        out[k0] = np.exp(rest.sum())
+    logf[zero] = 0.0
+    out = np.exp(logf.sum(axis=-1, keepdims=True) - logf)
+    out[zero.sum(axis=-1, keepdims=True) - zero > 0] = 0.0
     return out
 
 
@@ -169,10 +182,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
+    """What ``graph_infer`` found.
+
+    ``deltas`` holds each sweep's largest absolute change, so
+    ``final_delta == deltas[-1]``.  When the solver did not converge,
+    ``largest_change`` is the ``(node, dimension)`` of the last sweep's
+    largest change (the first in declaration order on a tie), else None.
+    """
+
     assignments: dict
     converged: bool
     sweeps_used: int
     final_delta: float
+    deltas: tuple
+    largest_change: tuple | None
 
 
 class EntailmentGraph:
@@ -274,70 +297,130 @@ class EntailmentGraph:
         return name in self._observed
 
 
+# The update adds its terms to the prior in this order, each kind in edge
+# order: (edge list, endpoint that receives the term, endpoint it reads).
+_KINDS = (
+    ("pos", 0, 1),  # entailed neighbour: -log sigma(-X_j)
+    ("pos", 1, 0),  # entailing neighbour: +log sigma(X_j)
+    ("neg", 1, 0),  # negated edge j -> i: i is the entailed side
+    ("neg", 0, 1),  # negated edge i -> j: i is the entailing side
+)
+
+
+def _levels(n: int, free: np.ndarray, edges: dict) -> np.ndarray:
+    """Wavefront level of each free node (-1 for observed ones).
+
+    A node's level is 1 + the highest level among its free neighbours
+    declared before it, or 0 without one.  Neighbours never share a level,
+    and every earlier-declared neighbour sits in a lower level.
+    """
+    pairs = np.concatenate(list(edges.values()))
+    pairs = pairs[free[pairs[:, 0]] & free[pairs[:, 1]]]
+    earlier = [[] for _ in range(n)]
+    for lo, hi in zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()):
+        earlier[hi].append(lo)
+    level = [-1] * n
+    for i in np.flatnonzero(free).tolist():
+        level[i] = 1 + max([level[j] for j in earlier[i]], default=-1)
+    return np.array(level, dtype=np.intp)
+
+
+def _schedule(n: int, free: np.ndarray, edges: dict) -> list:
+    """Per level: its rows, then (slot in level, neighbour row, target row)
+    index arrays for each of ``_KINDS``, or None where the level has none."""
+    level = _levels(n, free, edges)
+    rows = np.flatnonzero(free)
+    rows = rows[np.argsort(level[rows], kind="stable")]
+    n_levels = int(level.max()) + 1 if rows.size else 0
+    bounds = np.searchsorted(level[rows], np.arange(n_levels + 1))
+    slot = np.empty(n, dtype=np.intp)
+    slot[rows] = np.arange(rows.size) - bounds[level[rows]]
+    levels = [[rows[bounds[lv]:bounds[lv + 1]]] for lv in range(n_levels)]
+    for kind, tgt_col, nbr_col in _KINDS:
+        tgt, nbr = edges[kind][:, tgt_col], edges[kind][:, nbr_col]
+        keep = free[tgt]
+        tgt, nbr = tgt[keep], nbr[keep]
+        order = np.argsort(level[tgt], kind="stable")
+        tgt, nbr = tgt[order], nbr[order]
+        cuts = np.searchsorted(level[tgt], np.arange(n_levels + 1))
+        for lv, entry in enumerate(levels):
+            lo, hi = cuts[lv], cuts[lv + 1]
+            entry.append((slot[tgt[lo:hi]], nbr[lo:hi], tgt[lo:hi]) if hi > lo else None)
+    return levels
+
+
 def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Iterate the per-node update to a fixed point; see the module docstring."""
     if cfg is None:
         cfg = SolverConfig()
     names = graph.node_names
-    observed = graph.observations
-    state = {}
-    for name in names:
-        start = observed[name] if name in observed else graph.theta(name)
-        state[name] = np.clip(start, -cfg.clamp, cfg.clamp)
-    free = [name for name in names if not graph.is_observed(name)]
-
-    pos_out = {name: [] for name in names}
-    pos_in = {name: [] for name in names}
-    neg_out = {name: [] for name in names}
-    neg_in = {name: [] for name in names}
-    for a, b in graph.pos_edges:
-        pos_out[a].append(b)
-        pos_in[b].append(a)
-    for a, b in graph.neg_edges:
-        neg_out[a].append(b)
-        neg_in[b].append(a)
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    prior = np.array(list(graph._theta.values()), dtype=np.float64).reshape(n, graph.dim or 0)
+    state = prior.copy()
+    free = np.ones(n, dtype=bool)
+    for name, vec in graph._observed.items():
+        state[index[name]] = vec
+        free[index[name]] = False
+    np.clip(state, -cfg.clamp, cfg.clamp, out=state)
+    edges = {
+        kind: np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+        for kind, pairs in (("pos", graph._pos), ("neg", graph._neg))
+    }
+    levels = _schedule(n, free, edges)
 
     converged = False
-    sweeps = 0
-    delta = 0.0
-    with np.errstate(divide="ignore"):
+    deltas = []
+    with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(1, cfg.max_sweeps + 1):
-            sweeps = sweep
-            delta = 0.0
-            for name in free:
-                old = state[name]
-                new = graph.theta(name)
-                for j in pos_out[name]:
-                    new = new - log_sigmoid(-state[j])
-                for j in pos_in[name]:
-                    new = new + log_sigmoid(state[j])
-                for j in neg_in[name]:
-                    # edge j -> i negated; i is the entailed side
-                    c = _neg_constants(state[j], old)
-                    new = new + np.log1p(-c * sigmoid(state[j])) - np.log1p(-c)
-                for j in neg_out[name]:
-                    # edge i -> j negated; i is the entailing side
-                    c = _neg_constants(old, state[j])
-                    new = new - (np.log1p(-c * sigmoid(-state[j])) - np.log1p(-c))
-                if np.any(np.isnan(new)):
-                    k = int(np.flatnonzero(np.isnan(new))[0])
-                    raise SolverNumericsError(
-                        f"NaN update for node {name!r} dimension {k} at sweep {sweep}"
-                    )
+            before = state.copy()
+            for rows, pos_out, pos_in, neg_in, neg_out in levels:
+                new = prior[rows]
+                if pos_out is not None:
+                    t, j, _ = pos_out
+                    np.add.at(new, t, -log_sigmoid(-state[j]))
+                if pos_in is not None:
+                    t, j, _ = pos_in
+                    np.add.at(new, t, log_sigmoid(state[j]))
+                if neg_in is not None:
+                    t, j, i = neg_in
+                    x = state[j]
+                    c = _neg_constants(x, state[i])
+                    np.add.at(new, t, np.log1p(-c * sigmoid(x)) - np.log1p(-c))
+                if neg_out is not None:
+                    t, j, i = neg_out
+                    x = state[j]
+                    c = _neg_constants(state[i], x)
+                    np.add.at(new, t, np.log1p(-c) - np.log1p(-c * sigmoid(-x)))
                 if cfg.damping > 0.0:
-                    new = (1.0 - cfg.damping) * new + cfg.damping * old
-                new = np.clip(new, -cfg.clamp, cfg.clamp)
-                delta = max(delta, float(np.max(np.abs(new - old))) if new.size else 0.0)
-                state[name] = new
+                    new = (1.0 - cfg.damping) * new + cfg.damping * state[rows]
+                state[rows] = np.clip(new, -cfg.clamp, cfg.clamp, out=new)
+            change = np.abs(state - before)
+            delta = float(change.max(initial=0.0))
+            if np.isnan(delta):
+                # NaN only spreads to nodes declared later, so the first NaN
+                # in declaration order (argmax's pick) is where a
+                # node-by-node sweep would have stopped
+                i, k = divmod(int(change.argmax()), change.shape[1])
+                raise SolverNumericsError(
+                    f"NaN update for node {names[i]!r} dimension {k} at sweep {sweep}"
+                )
+            deltas.append(delta)
             if delta < cfg.tol:
                 converged = True
                 break
 
+    largest = None
+    if not converged:
+        i, k = divmod(int(change.argmax()), change.shape[1])
+        largest = (names[i], k)
     return SolverResult(
-        assignments={name: vec.copy() for name, vec in state.items()},
+        assignments={name: state[i].copy() for i, name in enumerate(names)},
         converged=converged,
-        sweeps_used=sweeps,
-        final_delta=delta,
+        sweeps_used=len(deltas),
+        final_delta=deltas[-1],
+        deltas=tuple(deltas),
+        largest_change=largest,
     )
 
 
@@ -376,7 +459,11 @@ def parse_graph(text: str) -> EntailmentGraph:
                     )
                 theta = None
                 if thetas:
-                    theta = [_parse_float(t, "prior", lineno) for t in thetas]
+                    try:
+                        theta = list(map(float, thetas))
+                    except ValueError:
+                        # parse field by field only to name the bad one
+                        theta = [_parse_float(t, "prior", lineno) for t in thetas]
                 graph.add_node(name, dim=dim, theta=theta)
             elif kind in ("entail", "notentail"):
                 if len(args) != 2:

@@ -162,7 +162,9 @@ class TestGraphCommand:
         assert main([
             "graph", "--file", CHAIN, "--max-sweeps", "2", "--tol", "1e-15",
         ]) == 0
-        assert "did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("did not converge after 2 sweeps (last delta ")
+        assert err.endswith("); largest change at node 'a' dimension 0\n")
 
     def test_missing_file(self, capsys):
         assert main(["graph", "--file", "/nonexistent.graph"]) == 2

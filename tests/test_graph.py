@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from entvec.core import DimensionMismatchError, sigmoid
+from entvec.core import DimensionMismatchError, log_sigmoid, sigmoid
 from entvec.graph import (
     EntailmentGraph,
     GraphFormatError,
     GraphStructureError,
     SolverConfig,
+    SolverNumericsError,
+    _neg_constants,
     backward_infer,
     forward_infer,
     graph_infer,
@@ -16,6 +20,104 @@ from entvec.graph import (
 )
 
 LOG_GOLDEN_RATIO = 0.48121182505960347
+
+
+def sequential_neg_constants(x_src, x_tgt):
+    """One edge's C vector, the node-by-node solver's way."""
+    p = sigmoid(-x_src) * sigmoid(x_tgt)
+    with np.errstate(divide="ignore"):
+        logf = np.log1p(-p)
+    zero = np.isneginf(logf)
+    if not zero.any():
+        return np.exp(logf.sum() - logf)
+    out = np.zeros_like(logf)
+    if zero.sum() == 1:
+        k0 = int(np.flatnonzero(zero)[0])
+        out[k0] = np.exp(np.delete(logf, k0).sum())
+    return out
+
+
+def sequential_infer(graph, cfg):
+    """Reference solver: one node at a time, in declaration order.
+
+    Returns (assignments, per-sweep deltas, (node, dim) of the last sweep's
+    largest change).
+    """
+    names = graph.node_names
+    observed = graph.observations
+    state = {
+        name: np.clip(observed[name] if name in observed else graph.theta(name),
+                      -cfg.clamp, cfg.clamp)
+        for name in names
+    }
+    pos_out, pos_in, neg_out, neg_in = ({name: [] for name in names} for _ in range(4))
+    for a, b in graph.pos_edges:
+        pos_out[a].append(b)
+        pos_in[b].append(a)
+    for a, b in graph.neg_edges:
+        neg_out[a].append(b)
+        neg_in[b].append(a)
+    deltas = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(1, cfg.max_sweeps + 1):
+            delta, largest = 0.0, None
+            for name in names:
+                if graph.is_observed(name):
+                    continue
+                old = state[name]
+                new = graph.theta(name)
+                for j in pos_out[name]:
+                    new = new - log_sigmoid(-state[j])
+                for j in pos_in[name]:
+                    new = new + log_sigmoid(state[j])
+                for j in neg_in[name]:
+                    c = sequential_neg_constants(state[j], old)
+                    new = new + np.log1p(-c * sigmoid(state[j])) - np.log1p(-c)
+                for j in neg_out[name]:
+                    c = sequential_neg_constants(old, state[j])
+                    new = new - (np.log1p(-c * sigmoid(-state[j])) - np.log1p(-c))
+                if np.any(np.isnan(new)):
+                    k = int(np.flatnonzero(np.isnan(new))[0])
+                    raise SolverNumericsError(
+                        f"NaN update for node {name!r} dimension {k} at sweep {sweep}"
+                    )
+                if cfg.damping > 0.0:
+                    new = (1.0 - cfg.damping) * new + cfg.damping * old
+                new = np.clip(new, -cfg.clamp, cfg.clamp)
+                change = np.abs(new - old)
+                step = float(change.max())
+                if largest is None or step > delta:
+                    delta, largest = step, (name, int(change.argmax()))
+                state[name] = new
+            deltas.append(delta)
+            if delta < cfg.tol:
+                break
+    return state, deltas, largest
+
+
+def random_graph(seed, dim, root_first):
+    """A random tree closed into a cycle, extra entailments, negative edges
+    and observed nodes, declared root-first or leaf-first."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    parent = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
+    names = [f"n{i}" for i in range(n)]
+    g = EntailmentGraph()
+    for i in range(n) if root_first else reversed(range(n)):
+        g.add_node(names[i], theta=rng.normal(0.0, 1.0, size=dim))
+    for i in range(1, n):
+        g.add_entail(names[i], names[parent[i]])
+    g.add_entail(names[0], names[n - 1])
+    for _ in range(3):
+        a, b = rng.choice(n, size=2, replace=False)
+        g.add_entail(names[a], names[b])
+    # negative edges on disjoint pairs: in one dimension C = 1, and a node
+    # with a saturated edge at each end would get +inf - inf
+    for a, b in rng.choice(n, size=(3, 2), replace=False):
+        g.add_not_entail(names[a], names[b])
+    for i in rng.choice(n, size=4, replace=False):
+        g.observe(names[i], int(rng.integers(dim)), float(rng.normal(0.0, 3.0)))
+    return g
 
 
 def chain_graph():
@@ -89,6 +191,25 @@ class TestNegRelationConstant:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             neg_relation_constant([0.0], [0.0, 0.0], 0)
+
+    def test_rows_with_saturated_factors(self):
+        # rows with 0, 1 and 3 saturated factors (1 - sigma(800) sigma(800) == 0)
+        rng = np.random.default_rng(3)
+        x_src = rng.uniform(-4, 4, size=(3, 6))
+        x_tgt = rng.uniform(-4, 4, size=(3, 6))
+        for row, ks in ((1, [2]), (2, [0, 3, 5])):
+            x_src[row, ks], x_tgt[row, ks] = -800.0, 800.0
+        factors = 1.0 - sigmoid(-x_src) * sigmoid(x_tgt)
+        assert np.count_nonzero(factors == 0.0) == 4
+        got = _neg_constants(x_src, x_tgt)
+        for r in range(3):
+            for k in range(6):
+                explicit = np.prod(np.delete(factors[r], k))
+                assert got[r, k] == pytest.approx(explicit, rel=1e-12, abs=0.0)
+                assert neg_relation_constant(x_src[r], x_tgt[r], k) == got[r, k]
+        assert got[1, 2] > 0.0
+        assert np.count_nonzero(got[1]) == 1
+        assert np.all(got[2] == 0.0)
 
 
 class TestSolverConfig:
@@ -245,6 +366,81 @@ class TestGraphInfer:
         result = graph_infer(chain_graph(), cfg)
         assert not result.converged
         assert result.sweeps_used == 2
+
+    def test_deltas_trace_each_sweep(self):
+        result = graph_infer(chain_graph(), SolverConfig(tol=1e-8))
+        assert len(result.deltas) == result.sweeps_used
+        assert result.deltas[-1] == result.final_delta
+        assert result.deltas[0] > result.deltas[-1]
+        assert result.largest_change is None
+
+    def test_non_convergence_names_largest_change(self):
+        g = EntailmentGraph()
+        g.add_node("a", theta=[0.0, 0.0])
+        g.add_node("b", theta=[3.0, 0.0])
+        g.add_entail("a", "b")
+        result = graph_infer(g, SolverConfig(max_sweeps=2, tol=1e-15))
+        assert not result.converged
+        # a's first dimension follows b's near-certain feature at once; the
+        # second, which b leaves open, still moves in sweep 2
+        assert result.largest_change == ("a", 1)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    @pytest.mark.parametrize("root_first", [True, False])
+    @pytest.mark.parametrize("max_sweeps", [5, 200])
+    def test_matches_node_by_node_sweeps(self, seed, dim, damping, root_first, max_sweeps):
+        g = random_graph(seed, dim, root_first)
+        cfg = SolverConfig(max_sweeps=max_sweeps, damping=damping)
+        state, deltas, largest = sequential_infer(g, cfg)
+        result = graph_infer(g, cfg)
+        assert result.sweeps_used == len(deltas)
+        assert result.converged == (max_sweeps == 200)
+        np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
+        assert result.final_delta == pytest.approx(deltas[-1], rel=0.0, abs=1e-12)
+        for name in g.node_names:
+            np.testing.assert_allclose(
+                result.assignments[name], state[name], rtol=0.0, atol=1e-12
+            )
+        assert result.largest_change == (None if result.converged else largest)
+
+    def nan_graph(self):
+        # C = 1 against a certainly-known entailing side: log1p(-1) - log1p(-1)
+        g = EntailmentGraph()
+        for name in ("a", "b", "c"):
+            g.add_node(name, dim=2)
+        g.add_not_entail("a", "b")
+        g.add_entail("c", "b")
+        g.observe("a", 0, 800.0)
+        g.observe("a", 1, 800.0)
+        return g
+
+    def test_nan_names_node_dimension_and_sweep(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverNumericsError) as exc_info:
+                graph_infer(self.nan_graph(), SolverConfig(clamp=1000.0))
+        assert str(exc_info.value) == "NaN update for node 'b' dimension 0 at sweep 1"
+
+    def test_nan_names_first_node_in_declaration_order(self):
+        # y sits in the first wavefront level and b in the second, but b is
+        # declared first, so a node-by-node sweep stops at b
+        g = EntailmentGraph()
+        for name in ("a", "c", "b", "y"):
+            g.add_node(name, dim=2)
+        g.add_entail("c", "b")
+        g.add_not_entail("a", "b")
+        g.add_not_entail("a", "y")
+        g.observe("a", 0, 800.0)
+        g.observe("a", 1, 800.0)
+        cfg = SolverConfig(clamp=1000.0)
+        with pytest.raises(SolverNumericsError) as oracle:
+            sequential_infer(g, cfg)
+        with pytest.raises(SolverNumericsError) as exc_info:
+            graph_infer(g, cfg)
+        assert str(exc_info.value) == str(oracle.value)
+        assert "node 'b' dimension 0" in str(exc_info.value)
 
     def test_damping_reaches_same_fixed_point(self):
         plain = graph_infer(chain_graph())
