@@ -185,9 +185,10 @@ def _cmd_graph(args) -> int:
     cfg = graph.SolverConfig(max_sweeps=args.max_sweeps, tol=args.tol,
                              damping=args.damping, clamp=args.clamp)
     result = graph.graph_infer(g, cfg)
-    for name in g.node_names:
-        values = "\t".join(f"{v:.9g}" for v in result.assignments[name])
-        print(f"{name}\t{values}")
+    # Python floats from tolist() format faster than numpy scalars; one write
+    sys.stdout.write("".join(
+        name + "\t" + "\t".join(["%.9g" % v for v in result.assignments[name].tolist()]) + "\n"
+        for name in g.node_names))
     status = "converged" if result.converged else "did not converge"
     where = ""
     if result.largest_change is not None:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interpret
+from .core import _pair_rows
 from .embeddings import EmbeddingTable
 
 __all__ = [
@@ -234,39 +235,51 @@ _BASELINE_ALIASES = {
 }
 
 
-def baseline_score(kind: str, hypo_vec, hyper_vec):
+def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
     """Untrained scorers: dot, cosine, dif (hyper minus hypo), weighted cos.
 
     Weighted cosine emphasizes the hypernym's larger coordinates: both
     vectors are reweighted by w_k = (D - rank_k)/D, where rank_k is the
     position of hyper_k in descending order, before taking the cosine.
-    Accepts (..., d) batches; returns a float for single vectors.
+    Accepts (..., d) batches; returns a float for single vectors.  With
+    ``pairs`` = (i, j), row i of ``hypo_vec`` is scored against row j of
+    ``hyper_vec``; the rank weights are computed once per hypernym row,
+    before the rows are gathered.
     """
     canon = _BASELINE_ALIASES.get(kind)
     if canon is None:
         raise ValueError(f"unknown baseline {kind!r}; expected one of {sorted(set(_BASELINE_ALIASES))}")
     h = np.asarray(hypo_vec, dtype=np.float64)
-    g = np.asarray(hyper_vec, dtype=np.float64)
-    if h.shape != g.shape:
+    g = h if hyper_vec is hypo_vec else np.asarray(hyper_vec, dtype=np.float64)
+    if pairs is None and h.shape != g.shape:
         raise ValueError(f"hypo shape {h.shape} != hyper shape {g.shape}")
+    if pairs is not None and not (h.ndim == g.ndim == 2 and h.shape[1] == g.shape[1]):
+        raise ValueError(f"pairs= needs two (rows, d) tables of one d; "
+                         f"hypo has shape {h.shape} and hyper has shape {g.shape}")
     if h.ndim == 0 or h.shape[-1] == 0:
         raise ValueError("vectors must have at least one dimension")
-    if canon == "dot":
-        out = np.sum(h * g, axis=-1)
-    elif canon == "dif":
-        out = np.sum(g - h, axis=-1)
+    w = _hyper_rank_weights(g) if canon == "weighted_cos" else None
+    if pairs is None:
+        out = _baseline(canon, h, g, w)
     else:
-        if canon == "weighted_cos":
-            w = _hyper_rank_weights(g)
-        else:
-            w = np.ones_like(g)
-        num = np.sum(w * h * g, axis=-1)
-        h_norm = np.sqrt(np.sum(w * h * h, axis=-1))
-        g_norm = np.sqrt(np.sum(w * g * g, axis=-1))
-        if np.any(h_norm == 0.0) or np.any(g_norm == 0.0):
-            raise ValueError(f"{canon} is undefined for zero-weight-norm vectors")
-        out = num / (h_norm * g_norm)
+        out = _pair_rows(lambda i, j: _baseline(canon, h[i], g[j], None if w is None else w[j]),
+                         pairs, h.shape[1])
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _baseline(canon, h, g, w):
+    if canon == "dot":
+        return np.sum(h * g, axis=-1)
+    if canon == "dif":
+        return np.sum(g - h, axis=-1)
+    if w is None:
+        w = np.ones_like(g)
+    num = np.sum(w * h * g, axis=-1)
+    h_norm = np.sqrt(np.sum(w * h * h, axis=-1))
+    g_norm = np.sqrt(np.sum(w * g * g, axis=-1))
+    if np.any(h_norm == 0.0) or np.any(g_norm == 0.0):
+        raise ValueError(f"{canon} is undefined for zero-weight-norm vectors")
+    return num / (h_norm * g_norm)
 
 
 OPERATOR_METHODS = {
@@ -335,30 +348,29 @@ class EvalRequest:
     threads: int = 1
 
 
-def _unsupervised_scores(method, hypo_mat, hyper_mat, shift):
-    """Forward and reversed scores of an operator or baseline method."""
+def _unsupervised_scores(method, words, pairs, shift):
+    """Scores of an operator or baseline method on the rows ``pairs`` of ``words``."""
     if method not in OPERATOR_METHODS:
-        return (baseline_score(method, hypo_mat, hyper_mat),
-                baseline_score(method, hyper_mat, hypo_mat))
+        return baseline_score(method, words, words, pairs=pairs)
     interp_obj, op = OPERATOR_METHODS[method]
     if interp_obj.kind == "unkdup" and shift != interp_obj.shift:
         interp_obj = interpret.Interpretation("unkdup", shift)
-    return (interpret.pair_score(hypo_mat, hyper_mat, interp_obj, op),
-            interpret.pair_score(hyper_mat, hypo_mat, interp_obj, op))
+    return interpret.pair_score(words, words, interp_obj, op, pairs=pairs)
 
 
-def _mapped_scores(method, dataset, table, hypo_mat, hyper_mat, train_config):
+def _mapped_scores(method, dataset, table, words, hi, gi, train_config):
     """Held-out forward and reversed scores, pooled over the folds."""
     from . import training  # deferred: training depends on this module's types
 
     cfg = train_config if train_config is not None else training.TrainConfig()
     results = training.train(dataset, table, cfg, MAPPED_METHODS[method])
-    scores = np.full(hypo_mat.shape[0], np.nan)
-    rev = np.full(hypo_mat.shape[0], np.nan)
+    scores = np.full(hi.size, np.nan)
+    rev = np.full(hi.size, np.nan)
     for fold, trained in zip(dataset.folds, results):
         idx = np.asarray(fold.test, dtype=np.int64)
-        scores[idx] = training.raw_scores(trained.model, hypo_mat[idx], hyper_mat[idx])
-        rev[idx] = training.raw_scores(trained.model, hyper_mat[idx], hypo_mat[idx])
+        hypo_mat, hyper_mat = words[hi[idx]], words[gi[idx]]
+        scores[idx] = training.raw_scores(trained.model, hypo_mat, hyper_mat)
+        rev[idx] = training.raw_scores(trained.model, hyper_mat, hypo_mat)
     if np.any(np.isnan(scores)):
         raise ValueError("some pairs were never assigned to a test fold")
     return scores, rev
@@ -379,8 +391,13 @@ def run_eval(request: EvalRequest) -> EvalReport:
     if not kept:
         raise ValueError("every pair has an out-of-vocabulary word")
 
-    hypo_mat = np.stack([table.lookup(p.hypo) for p in kept])
-    hyper_mat = np.stack([table.lookup(p.hyper) for p in kept])
+    # each distinct word is looked up once, into row hi[n] / gi[n] of words
+    rows = {}
+    hi = np.array([rows.setdefault(p.hypo, len(rows)) for p in kept], dtype=np.intp)
+    gi = np.array([rows.setdefault(p.hyper, len(rows)) for p in kept], dtype=np.intp)
+    words = np.stack([table.lookup(w) for w in rows])
+    # forward pairs, then the same pairs reversed: one scoring call per method
+    both = (np.concatenate([hi, gi]), np.concatenate([gi, hi]))
     labels = np.array([p.label for p in kept], dtype=np.int64)
     pos_mask = labels == 1
 
@@ -394,10 +411,10 @@ def run_eval(request: EvalRequest) -> EvalReport:
 
     def one(method):
         if method in MAPPED_METHODS:
-            scores, rev = _mapped_scores(method, dataset, table, hypo_mat, hyper_mat,
+            scores, rev = _mapped_scores(method, dataset, table, words, hi, gi,
                                          request.train_config)
         else:
-            scores, rev = _unsupervised_scores(method, hypo_mat, hyper_mat, request.shift)
+            scores, rev = np.split(_unsupervised_scores(method, words, both, request.shift), 2)
         acc50, threshold = fifty_percent_accuracy(scores, labels)
         dir_acc = _direction_credit(scores[pos_mask], rev[pos_mask])
         return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)

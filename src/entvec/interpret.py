@@ -109,24 +109,27 @@ def unknown_mass(values, shift: float = 1.0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str):
-    """Score "hyponym entails hypernym" for two raw embedding vectors.
+def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None):
+    """Score "hyponym entails hypernym" for raw embedding vectors.
 
-    Both vectors are transformed under ``interp``; the hypernym plays the
-    entailed side (x) and the hyponym the entailing side (y).  ``op`` is
-    one of fwd / bwd / fact.
+    Both arguments are transformed under ``interp`` (once when they are
+    the same array); the hypernym plays the entailed side (x) and the
+    hyponym the entailing side (y).  ``op`` is one of fwd / bwd / fact.
+    With ``pairs`` = (i, j), row i of ``hypo_raw`` is scored against row j
+    of ``hyper_raw``: pass one (words, d) matrix as both arguments and the
+    operator's tables are built once per word, not once per pair row.
     """
     canon = OPERATOR_NAMES.get(op)
     if canon is None:
         raise ValueError(f"unknown operator {op!r}; expected fwd, bwd or fact")
     op = canon
     y = transform(hypo_raw, interp)
-    x = transform(hyper_raw, interp)
+    x = y if hyper_raw is hypo_raw else transform(hyper_raw, interp)
     if op == "fwd":
-        return entail_forward(x, y)
+        return entail_forward(x, y, pairs=None if pairs is None else pairs[::-1])
     if op == "bwd":
-        return entail_backward(y, x)
-    return entail_factorized(y, x)
+        return entail_backward(y, x, pairs=pairs)
+    return entail_factorized(y, x, pairs=pairs)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ that the pair is a true hyponym pair.  Training is plain mini-batch
 gradient descent with a constant step size and seeded shuffling, so runs
 are bitwise reproducible.
 
-Mapped vectors are always read as log-odds and scored by the operators
-of ``core``, saturation cap included; the duplicate/shift readings are
-subsumed by the freedom of a learned linear map, so composing them would
-be redundant.  The gradients flow analytically through the operator and
-the mapping; the finite-difference agreement test is the contract here.
+Mapped vectors are always read as log-odds and scored by the operator
+terms of ``core``, saturation cap included; the duplicate/shift readings
+are subsumed by the freedom of a learned linear map, so composing them
+would be redundant.  A mini-batch builds the sigma / log sigma tables of
+its mapped vectors once, with ``core``'s table helper, and the loss and
+the gradient both read them.  The gradients flow analytically through the
+operator and the mapping; the finite-difference agreement test is the
+contract here.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import log_sigmoid, sigmoid
+from .core import sigmoid
 from .embeddings import EmbeddingTable
 from .evaluation import WordPairDataset
 from .interpret import OPERATOR_NAMES
@@ -119,15 +122,33 @@ def _check_d_in(model: MappingModel, mat: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has dim {mat.shape[-1]} but the mapping expects {model.d_in}")
 
 
-def _mapped_scores(op: str, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+# the core tables of mapped hyponym rows y and hypernym rows x that an
+# operator's score and its gradient read
+_GRAD_TABLES = {
+    "fwd": (("log_sigmoid", "sigmoid_neg"), ("sigmoid", "sigmoid_neg")),
+    "bwd": (("sigmoid_neg", "sigmoid"), ("log_sigmoid_neg", "sigmoid")),
+    "fact": (("sigmoid_neg", "sigmoid"), ("sigmoid", "sigmoid_neg")),
+}
+
+
+def _mapped_tables(op: str, y: np.ndarray, x: np.ndarray, grads: bool):
+    """y's and x's core tables that op's score reads, and with ``grads`` its gradient.
+
+    None for dif, which reads no table.  Non-finite mapped vectors are
+    rejected as ``core``'s operators reject them.
+    """
+    if op == "dif":
+        return None
+    y, x = core._check_pair(y, x, "y", "x", paired=False)
+    need_y, need_x = (_GRAD_TABLES if grads else core._OPERATOR_TABLES)[op]
+    return core._tables(y, *need_y), core._tables(x, *need_x)
+
+
+def _mapped_scores(op: str, y: np.ndarray, x: np.ndarray, tables) -> np.ndarray:
     """Scores of "y entails x" for mapped hyponym rows y and hypernym rows x."""
     if op == "dif":
         return np.sum(x - y, axis=-1)
-    if op == "fwd":
-        return core.entail_forward(x, y)
-    if op == "bwd":
-        return core.entail_backward(y, x)
-    return core.entail_factorized(y, x)
+    return core._terms(op, *tables).sum(axis=-1)
 
 
 def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
@@ -136,7 +157,8 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     g_raw = np.atleast_2d(np.asarray(hyper_raw, dtype=np.float64))
     _check_d_in(model, h_raw, "hypo")
     _check_d_in(model, g_raw, "hyper")
-    return _mapped_scores(model.op, h_raw @ model.W.T, g_raw @ model.W.T)
+    h, g = h_raw @ model.W.T, g_raw @ model.W.T
+    return _mapped_scores(model.op, h, g, _mapped_tables(model.op, h, g, grads=False))
 
 
 def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
@@ -145,20 +167,21 @@ def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
     return float(sigmoid(s[0] - model.tau))
 
 
-def _score_grads(op: str, y: np.ndarray, x: np.ndarray):
+def _score_grads(op: str, y: np.ndarray, x: np.ndarray, tables):
     """Per-sample d(score)/d(mapped hypo y) and d(score)/d(mapped hyper x)."""
     if op == "dif":
         return -np.ones_like(y), np.ones_like(x)
+    ty, tx = tables
     if op == "fwd":
-        dx = sigmoid(x) * sigmoid(-x) * log_sigmoid(y)
-        dy = sigmoid(x) * sigmoid(-y)
+        dx = tx["sigmoid"] * tx["sigmoid_neg"] * ty["log_sigmoid"]
+        dy = tx["sigmoid"] * ty["sigmoid_neg"]
     elif op == "bwd":
-        dy = -sigmoid(-y) * sigmoid(y) * log_sigmoid(-x)
-        dx = -sigmoid(-y) * sigmoid(x)
+        dy = -ty["sigmoid_neg"] * ty["sigmoid"] * tx["log_sigmoid_neg"]
+        dx = -ty["sigmoid_neg"] * tx["sigmoid"]
     else:
-        q = np.minimum(sigmoid(-y) * sigmoid(x), core.MAX_FAILURE_PROB)
-        dy = sigmoid(-y) * sigmoid(y) * sigmoid(x) / (1.0 - q)
-        dx = -sigmoid(-y) * sigmoid(x) * sigmoid(-x) / (1.0 - q)
+        q = np.minimum(ty["sigmoid_neg"] * tx["sigmoid"], core.MAX_FAILURE_PROB)
+        dy = ty["sigmoid_neg"] * ty["sigmoid"] * tx["sigmoid"] / (1.0 - q)
+        dx = -ty["sigmoid_neg"] * tx["sigmoid"] * tx["sigmoid_neg"] / (1.0 - q)
     return dy, dx
 
 
@@ -166,12 +189,14 @@ def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets, l2: float):
     n = h_raw.shape[0]
     h = h_raw @ model.W.T
     g = g_raw @ model.W.T
-    u = _mapped_scores(model.op, h, g) - model.tau
-    p = sigmoid(u)
-    bce = -(targets * log_sigmoid(u) + (1.0 - targets) * log_sigmoid(-u))
+    tables = _mapped_tables(model.op, h, g, grads=True)  # shared by loss and gradient
+    u = _mapped_scores(model.op, h, g, tables) - model.tau
+    tu = core._tables(u, "sigmoid", "log_sigmoid", "log_sigmoid_neg")
+    p = tu["sigmoid"]
+    bce = -(targets * tu["log_sigmoid"] + (1.0 - targets) * tu["log_sigmoid_neg"])
     loss = float(np.mean(bce))
     dl_ds = (p - targets) / n
-    dh, dg = _score_grads(model.op, h, g)
+    dh, dg = _score_grads(model.op, h, g, tables)
     grad_w = (dg * dl_ds[:, None]).T @ g_raw + (dh * dl_ds[:, None]).T @ h_raw
     grad_tau = float(np.mean(targets - p))
     if l2 > 0.0:

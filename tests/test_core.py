@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entvec import core
 from entvec.core import (
     MAX_FAILURE_PROB,
     DimensionMismatchError,
@@ -192,3 +193,150 @@ class TestOperatorProperties:
         fact = entail_factorized(y, x)
         assert np.all(entail_forward(x, y) <= fact + 1e-12)
         assert np.all(entail_backward(y, x) <= fact + 1e-12)
+
+
+def _reference_tables(v):
+    # the pre-table formulas of sigmoid and log_sigmoid, each with its own exp
+    def sig(x):
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+    def log_sig(x):
+        return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+    return {"sigmoid": sig(v), "sigmoid_neg": sig(-v),
+            "log_sigmoid": log_sig(v), "log_sigmoid_neg": log_sig(-v)}
+
+
+class TestTables:
+    V = np.array([[0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5],
+                  [36.0, -36.0, 745.5, -745.5, 800.0, -800.0]])
+
+    def test_bitwise_equal_to_separate_formulas(self):
+        got = core._tables(self.V, "sigmoid", "sigmoid_neg", "log_sigmoid", "log_sigmoid_neg")
+        for name, want in _reference_tables(self.V).items():
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+
+    def test_computes_only_named_tables(self):
+        assert set(core._tables(self.V, "log_sigmoid_neg")) == {"log_sigmoid_neg"}
+        assert set(core._tables(self.V, "sigmoid", "log_sigmoid")) == {"sigmoid", "log_sigmoid"}
+
+    def test_scalar_input(self):
+        got = core._tables(np.asarray(-2.5), "sigmoid", "log_sigmoid_neg")
+        want = _reference_tables(np.asarray(-2.5))
+        assert got["sigmoid"] == want["sigmoid"]
+        assert got["log_sigmoid_neg"] == want["log_sigmoid_neg"]
+
+
+OPS = {
+    "fwd": lambda y, x, pairs=None: entail_forward(
+        x, y, pairs=None if pairs is None else pairs[::-1]),
+    "bwd": entail_backward,
+    "fact": entail_factorized,
+}
+
+
+def _word_table(d, seed=0):
+    rng = np.random.default_rng(seed)
+    words = rng.uniform(-6, 6, size=(6, d))
+    words[4] = 800.0   # saturating rows: the factorized cap is reached
+    words[5] = -800.0  # between these two
+    return words
+
+
+class TestPairs:
+    # (i, j) index lists with repeated words, i == j rows and both saturating orders
+    I = np.array([0, 1, 2, 0, 3, 3, 4, 5, 5, 1])
+    J = np.array([1, 0, 2, 2, 0, 3, 5, 4, 5, 4])
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_same_array_matches_per_pair_calls(self, op, d):
+        words = _word_table(d)
+        got = OPS[op](words, words, pairs=(self.I, self.J))
+        want = OPS[op](words[self.I], words[self.J])
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_two_tables_match_per_pair_calls(self, op):
+        y, x = _word_table(4, seed=1), _word_table(4, seed=2)[:5]
+        i, j = self.I, np.minimum(self.J, 4)
+        np.testing.assert_array_equal(OPS[op](y, x, pairs=(i, j)), OPS[op](y[i], x[j]))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_saturated_factorized_pair_hits_the_cap(self, op):
+        words = _word_table(3)
+        got = OPS[op](words, words, pairs=(np.array([5]), np.array([4])))
+        assert np.all(np.isfinite(got))
+        if op == "fact":
+            assert got[0] == 3 * np.log1p(-MAX_FAILURE_PROB)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_scalar_indices_return_a_float(self, op):
+        words = _word_table(3)
+        got = OPS[op](words, words, pairs=(2, 0))
+        assert isinstance(got, float)
+        assert got == OPS[op](words[2], words[0])
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_aligned_one_d_inputs_return_a_float(self, op):
+        words = _word_table(3)
+        assert isinstance(OPS[op](words[1], words[0]), float)
+        assert isinstance(OPS[op](words[1], words[1]), float)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        words = _word_table(7, seed=3)
+        rng = np.random.default_rng(4)
+        i, j = rng.integers(0, 6, size=(2, 50))
+        whole = entail_factorized(words, words, pairs=(i, j))
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 8)  # one row per block
+        np.testing.assert_array_equal(entail_factorized(words, words, pairs=(i, j)), whole)
+
+    def test_index_shape_is_kept(self):
+        words = _word_table(2)
+        i = np.array([[0, 1, 2], [3, 4, 5]])
+        got = entail_backward(words, words, pairs=(i, i[::-1]))
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, entail_backward(words[i], words[i[::-1]]))
+
+    def test_empty_pairs(self):
+        words = _word_table(2)
+        empty = np.array([], dtype=np.int64)
+        assert entail_forward(words, words, pairs=(empty, empty)).shape == (0,)
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match="pairs="):
+            entail_backward(np.zeros((3, 2)), np.zeros((3, 4)), pairs=([0], [1]))
+        with pytest.raises(DimensionMismatchError, match="pairs="):
+            entail_forward(np.zeros(2), np.zeros(2), pairs=(0, 1))
+
+    def test_rejects_bad_indices(self):
+        words = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="integer index arrays"):
+            entail_factorized(words, words, pairs=([0.0], [1.0]))
+        with pytest.raises(ValueError, match="integer index arrays"):
+            entail_factorized(words, words, pairs=([0, 1], [1]))
+        with pytest.raises(IndexError):
+            entail_factorized(words, words, pairs=([0], [3]))
+        with pytest.raises(IndexError, match="non-negative"):
+            entail_factorized(words, words, pairs=([0], [-1]))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            entail_forward(np.array([[np.nan]]), np.zeros((1, 1)), pairs=([0], [0]))
+
+    def test_tables_evaluated_once_per_distinct_array(self, monkeypatch):
+        calls = []
+        real = core._tables
+
+        def counting(v, *names):
+            calls.append(names)
+            return real(v, *names)
+
+        monkeypatch.setattr(core, "_tables", counting)
+        words = _word_table(3)
+        entail_factorized(words, words, pairs=(self.I, self.J))
+        assert calls == [("sigmoid_neg", "sigmoid")]
+        calls.clear()
+        entail_forward(words, words.copy())  # aligned, two arrays: one table each
+        assert sorted(calls) == [("log_sigmoid",), ("sigmoid",)]

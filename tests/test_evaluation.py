@@ -3,9 +3,11 @@ import pathlib
 import numpy as np
 import pytest
 
+from entvec import interpret
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import (
     ALL_METHODS,
+    OPERATOR_METHODS,
     DatasetFormatError,
     EvalReport,
     EvalRequest,
@@ -268,6 +270,55 @@ class TestBaselineScore:
             baseline_score("dot", [1.0], [1.0, 2.0])
 
 
+class TestBaselinePairs:
+    I = np.array([0, 1, 2, 0, 3, 3, 1, 2])
+    J = np.array([1, 0, 2, 2, 0, 3, 3, 3])
+
+    @staticmethod
+    def _words():
+        words = np.random.default_rng(42).normal(size=(4, 5))
+        words[2] = [1.0, 2.0, 1.0, 2.0, 1.0]  # tied coordinates: wcos ranks by input order
+        words[3] = 0.5                        # all tied
+        return words
+
+    @pytest.mark.parametrize("kind", ["dot", "dif", "cos", "wcos"])
+    def test_matches_per_pair_calls(self, kind):
+        words = self._words()
+        got = baseline_score(kind, words, words, pairs=(self.I, self.J))
+        np.testing.assert_array_equal(got, baseline_score(kind, words[self.I], words[self.J]))
+
+    @pytest.mark.parametrize("kind", ["dot", "dif", "cos", "wcos"])
+    def test_two_tables_and_scalar_indices(self, kind):
+        hypo, hyper = self._words(), self._words()[::-1].copy()
+        got = baseline_score(kind, hypo, hyper, pairs=(self.I, self.J))
+        np.testing.assert_array_equal(got, baseline_score(kind, hypo[self.I], hyper[self.J]))
+        one = baseline_score(kind, hypo, hyper, pairs=(2, 3))
+        assert isinstance(one, float) and one == baseline_score(kind, hypo[2], hyper[3])
+
+    def test_rejects_mismatched_tables(self):
+        with pytest.raises(ValueError, match="pairs="):
+            baseline_score("dot", np.ones((2, 3)), np.ones((2, 4)), pairs=([0], [1]))
+
+    def test_zero_norm_still_errors(self):
+        words = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-weight-norm"):
+            baseline_score("wcos", words, words, pairs=([0], [1]))
+
+
+def shared_word_fixture():
+    """Pairs over few words, each word in several pairs on both sides, two OOV pairs."""
+    rng = np.random.default_rng(3)
+    words = [f"w{k}" for k in range(8)]
+    table = EmbeddingTable(words, rng.normal(scale=2.0, size=(8, 6)).astype(np.float32))
+    pairs = [WordPair(f"w{a}", f"w{b}", int(rng.integers(2)))
+             for a, b in rng.integers(0, 8, size=(40, 2)) if a != b]
+    pairs += [WordPair("w1", "absent", 1), WordPair("missing", "w2", 0)]
+    return WordPairDataset(pairs), table
+
+
+UNSUPERVISED = tuple(OPERATOR_METHODS) + ("dot", "dif", "wcos")
+
+
 class TestRunEval:
     def test_matches_golden_report(self):
         dataset, table = toy_fixture()
@@ -293,6 +344,37 @@ class TestRunEval:
         serial = run_eval(EvalRequest(dataset, table, methods=methods, threads=1))
         threaded = run_eval(EvalRequest(dataset, table, methods=methods, threads=4))
         assert serial.to_csv() == threaded.to_csv()
+
+    def test_shared_words_thread_invariant(self):
+        dataset, table = shared_word_fixture()
+        serial = run_eval(EvalRequest(dataset, table, methods=UNSUPERVISED, shift=0.5))
+        threaded = run_eval(EvalRequest(dataset, table, methods=UNSUPERVISED, shift=0.5,
+                                        threads=2))
+        assert serial.to_csv() == threaded.to_csv()
+        assert all(r.n_dropped_oov == 2 for r in serial.rows)
+
+    def test_shared_words_match_per_pair_scores(self):
+        dataset, table = shared_word_fixture()
+        kept = [p for p in dataset.pairs if p.hypo in table and p.hyper in table]
+        hypo = np.stack([table.lookup(p.hypo) for p in kept])
+        hyper = np.stack([table.lookup(p.hyper) for p in kept])
+        labels = np.array([p.label for p in kept])
+        report = run_eval(EvalRequest(dataset, table, methods=UNSUPERVISED, shift=0.5))
+        for row in report.rows:
+            if row.method in OPERATOR_METHODS:
+                interp, op = OPERATOR_METHODS[row.method]
+                if interp.kind == "unkdup":
+                    interp = interpret.Interpretation("unkdup", 0.5)
+                fwd = interpret.pair_score(hypo, hyper, interp, op)
+                rev = interpret.pair_score(hyper, hypo, interp, op)
+            else:
+                fwd = baseline_score(row.method, hypo, hyper)
+                rev = baseline_score(row.method, hyper, hypo)
+            acc50, threshold = fifty_percent_accuracy(fwd, labels)
+            pos = labels == 1
+            credit = np.where(fwd[pos] > rev[pos], 1.0, np.where(fwd[pos] == rev[pos], 0.5, 0.0))
+            assert (row.acc50, row.threshold) == (acc50, threshold), row.method
+            assert row.dir_acc == float(np.mean(credit)), row.method
 
     def test_all_pairs_oov(self):
         dataset, _ = toy_fixture()

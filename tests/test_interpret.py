@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entvec import interpret
 from entvec.core import entail_backward, entail_factorized, sigmoid
 from entvec.interpret import (
     DUP,
@@ -111,6 +112,59 @@ class TestPairScore:
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="cosine"):
             pair_score([0.0], [0.0], LOG_ODDS, "cosine")
+
+
+INTERPS = {
+    "logodds": LOG_ODDS,
+    "dup": DUP,
+    "unkdup-1": UNK_DUP,
+    "unkdup-0.5": Interpretation("unkdup", 0.5),
+}
+
+
+class TestPairScorePairs:
+    # repeated words, i == j rows, and the saturating rows 4 (+800) and 5 (-800)
+    I = np.array([0, 1, 2, 0, 3, 3, 4, 5, 5, 1, 4])
+    J = np.array([1, 0, 2, 2, 0, 3, 5, 4, 5, 4, 4])
+
+    @staticmethod
+    def _words(d=4):
+        words = np.random.default_rng(7).normal(scale=3.0, size=(6, d))
+        words[4], words[5] = 800.0, -800.0
+        return words
+
+    @pytest.mark.parametrize("interp", sorted(INTERPS))
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact"])
+    def test_matches_per_pair_calls(self, interp, op):
+        words = self._words()
+        got = pair_score(words, words, INTERPS[interp], op, pairs=(self.I, self.J))
+        want = pair_score(words[self.I], words[self.J], INTERPS[interp], op)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact"])
+    def test_separate_tables_and_d_one(self, op):
+        hypo, hyper = self._words(1), self._words(1)[::-1].copy()
+        got = pair_score(hypo, hyper, UNK_DUP, op, pairs=(self.I, self.J))
+        np.testing.assert_array_equal(got, pair_score(hypo[self.I], hyper[self.J], UNK_DUP, op))
+
+    def test_scalar_indices_return_a_float(self):
+        words = self._words()
+        got = pair_score(words, words, DUP, "fwd", pairs=(1, 3))
+        assert isinstance(got, float)
+        assert got == pair_score(words[1], words[3], DUP, "fwd")
+
+    def test_transforms_a_shared_array_once(self, monkeypatch):
+        calls = []
+        real = interpret.transform
+        monkeypatch.setattr(interpret, "transform",
+                            lambda raw, it: calls.append(np.shape(raw)) or real(raw, it))
+        words = self._words()
+        pair_score(words, words, DUP, "bwd", pairs=(self.I, self.J))
+        assert calls == [(6, 4)]
+        calls.clear()
+        pair_score(words, words.copy(), DUP, "bwd", pairs=(self.I, self.J))
+        assert calls == [(6, 4), (6, 4)]
 
 
 class TestUnifyBackward:
