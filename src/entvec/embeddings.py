@@ -17,12 +17,25 @@ entailment operators read the raw coordinates as log-odds.
 
 Binary tokens round-trip byte for byte, invalid UTF-8 included
 (``surrogateescape``); the text format is strict UTF-8 and raises
-UnicodeEncodeError on such a token.
+UnicodeEncodeError on such a token.  Reading a text file that is not
+valid UTF-8 raises TextFormatError naming the line.
+
+``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
+and copies each row straight into a preallocated float32 matrix; what it
+returns or raises, byte offsets included, does not depend on where the
+chunk boundaries fall.  The matrix gets no more rows than the file can
+hold (each entry takes at least a space and ``4 * dim`` bytes), so a
+header promising more than that raises CountMismatchError or
+TruncatedFileError where the data runs out.  The header line may hold at
+most 128 bytes and a token at most 65536; a longer one raises
+MalformedHeaderError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
 
 __all__ = [
     "EmbeddingTable",
@@ -129,118 +142,84 @@ class EmbeddingTable:
         return self._matrix[idx].astype(np.float64)
 
 
-class _ByteScanner:
-    """Chunked reader exposing absolute offsets for error reporting."""
-
-    def __init__(self, fh, chunk_size: int = 1 << 20):
-        self._fh = fh
-        self._chunk = chunk_size
-        self._buf = b""
-        self._pos = 0  # within _buf
-        self._base = 0  # file offset of _buf[0]
-
-    @property
-    def offset(self) -> int:
-        return self._base + self._pos
-
-    def _refill(self) -> bool:
-        if self._pos:
-            self._base += self._pos
-            self._buf = self._buf[self._pos:]
-            self._pos = 0
-        more = self._fh.read(self._chunk)
-        if not more:
-            return False
-        self._buf += more
-        return True
-
-    def read_until(self, delim: int, limit: int) -> bytes | None:
-        """Bytes up to (consuming) the delimiter; None at clean EOF before any byte."""
-        start_offset = self.offset
-        while True:
-            idx = self._buf.find(delim, self._pos)
-            if idx >= 0:
-                out = self._buf[self._pos:idx]
-                self._pos = idx + 1
-                return out
-            if len(self._buf) - self._pos > limit:
-                raise MalformedHeaderError(
-                    f"no delimiter within {limit} bytes", offset=start_offset
-                )
-            if not self._refill():
-                if self._pos == len(self._buf):
-                    return None
-                raise TruncatedFileError(
-                    "file ends mid-token", offset=start_offset
-                )
-
-    def read_exact(self, n: int) -> bytes:
-        start_offset = self.offset
-        while len(self._buf) - self._pos < n:
-            if not self._refill():
-                raise TruncatedFileError(
-                    f"file ends inside a {n}-byte vector", offset=start_offset
-                )
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
-    def skip_byte_if(self, value: int) -> None:
-        if self._pos == len(self._buf) and not self._refill():
-            return
-        if self._pos < len(self._buf) and self._buf[self._pos] == value:
-            self._pos += 1
-
-    def at_eof(self) -> bool:
-        return self._pos == len(self._buf) and not self._refill()
-
-
 def load_binary(path) -> EmbeddingTable:
     """Read a word2vec-format binary embedding file."""
     with open(path, "rb") as fh:
-        scan = _ByteScanner(fh)
-        try:
-            header = scan.read_until(0x0A, limit=128)
-        except TruncatedFileError:
-            raise MalformedHeaderError("header line never ends", offset=0) from None
-        if header is None:
+        header = fh.readline(129)  # at most 128 bytes and the newline
+        if not header:
             raise MalformedHeaderError("empty file", offset=0)
+        if not header.endswith(b"\n"):
+            if len(header) > 128:
+                raise MalformedHeaderError("no delimiter within 128 bytes", offset=0)
+            raise MalformedHeaderError("header line never ends", offset=0)
         parts = header.split()
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             raise MalformedHeaderError(
-                f"expected '<count> <dim>', got {header!r}", offset=0
+                f"expected '<count> <dim>', got {header[:-1]!r}", offset=0
             )
         count, dim = int(parts[0]), int(parts[1])
         if count < 1 or dim < 1:
             raise MalformedHeaderError(
                 f"count and dim must be positive, got {count} and {dim}", offset=0
             )
-        matrix = np.empty((count, dim), dtype=np.float32)
+        row_bytes = 4 * dim
+        base = len(header)  # file offset of buf[0]
+        rows = count
+        if fh.seekable():
+            # an entry takes at least a space and a row, so a file cannot
+            # hold more rows than this whatever its header says
+            rows = min(count, (fh.seek(0, 2) - base) // (row_bytes + 1))
+            fh.seek(base)
+        matrix = np.empty(rows * dim, dtype="<f4")
+        out = memoryview(matrix).cast("B")
         tokens = []
         seen = set()
-        row_bytes = 4 * dim
+        buf = b""
+        pos = 0  # start of the current entry in buf
+        eof = False
+        limit = 1 << 16  # longest token, in bytes
         for i in range(count):
-            entry_offset = scan.offset
-            token_bytes = scan.read_until(0x20, limit=1 << 16)
-            if token_bytes is None:
-                raise CountMismatchError(
-                    f"header promises {count} entries but the file has {i}",
-                    offset=entry_offset,
-                )
-            token = token_bytes.decode("utf-8", errors="surrogateescape")
+            # read until buf holds the token, its row and one byte more (the
+            # optional newline), or until the file ends; a refill keeps the
+            # entry's unread bytes, so every offset is base + index into buf.
+            # Entry `rows` cannot hold its row, so its token is enough.
+            while True:
+                sp = buf.find(b" ", pos, pos + limit + 1)
+                if sp >= 0:
+                    stop = sp + 1 + row_bytes
+                    if stop < len(buf) or eof or i == rows:
+                        break
+                elif len(buf) - pos > limit or eof:
+                    break
+                chunk = fh.read(_CHUNK)
+                buf, base, pos, eof = buf[pos:] + chunk, base + pos, 0, not chunk
+            if sp < 0:
+                if len(buf) - pos > limit:
+                    raise MalformedHeaderError(
+                        f"no delimiter within {limit} bytes", offset=base + pos
+                    )
+                if pos == len(buf):
+                    raise CountMismatchError(
+                        f"header promises {count} entries but the file has {i}",
+                        offset=base + pos,
+                    )
+                raise TruncatedFileError("file ends mid-token", offset=base + pos)
+            token = buf[pos:sp].decode("utf-8", errors="surrogateescape")
             if token in seen:
-                raise DuplicateTokenError(
-                    f"duplicate token {token!r}", offset=entry_offset
-                )
+                raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
             seen.add(token)
             tokens.append(token)
-            matrix[i] = np.frombuffer(scan.read_exact(row_bytes), dtype="<f4")
-            scan.skip_byte_if(0x0A)
-        if not scan.at_eof():
+            if stop > len(buf):
+                raise TruncatedFileError(
+                    f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
+                )
+            out[i * row_bytes:(i + 1) * row_bytes] = buf[sp + 1:stop]
+            pos = stop + (buf[stop:stop + 1] == b"\n")
+        if pos < len(buf) or fh.read(1):
             raise CountMismatchError(
-                f"file continues past the {count} promised entries", offset=scan.offset
+                f"file continues past the {count} promised entries", offset=base + pos
             )
-    return EmbeddingTable(tokens, matrix)
+    return EmbeddingTable(tokens, matrix.reshape(count, dim))
 
 
 def write_binary(table: EmbeddingTable, path) -> None:
@@ -270,36 +249,49 @@ def load_text(path) -> EmbeddingTable:
     expect_count = None
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields:
-                continue
-            if dim is None and expect_count is None and _looks_like_header(fields):
-                expect_count, dim = int(fields[0]), int(fields[1])
-                if expect_count < 1 or dim < 1:
-                    raise MalformedHeaderError(
-                        f"count and dim must be positive, got {expect_count} and {dim}",
-                        line=lineno,
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                fields = raw.split()
+                if not fields:
+                    continue
+                if dim is None and expect_count is None and _looks_like_header(fields):
+                    expect_count, dim = int(fields[0]), int(fields[1])
+                    if expect_count < 1 or dim < 1:
+                        raise MalformedHeaderError(
+                            f"count and dim must be positive, got {expect_count} and {dim}",
+                            line=lineno,
+                        )
+                    continue
+                token, values = fields[0], fields[1:]
+                if not values:
+                    raise TextFormatError(f"token {token!r} has no values", line=lineno)
+                if dim is None:
+                    dim = len(values)
+                elif len(values) != dim:
+                    raise TextFormatError(
+                        f"expected {dim} values, got {len(values)}", line=lineno
                     )
-                continue
-            token, values = fields[0], fields[1:]
-            if not values:
-                raise TextFormatError(f"token {token!r} has no values", line=lineno)
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise TextFormatError(
-                    f"expected {dim} values, got {len(values)}", line=lineno
-                )
-            if token in seen:
-                raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
-            seen.add(token)
-            try:
-                row = np.array([float(v) for v in values], dtype=np.float32)
-            except ValueError:
-                raise TextFormatError("unparsable float in row", line=lineno) from None
-            tokens.append(token)
-            rows.append(row)
+                if token in seen:
+                    raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
+                seen.add(token)
+                try:
+                    row = np.array([float(v) for v in values], dtype=np.float32)
+                except ValueError:
+                    raise TextFormatError("unparsable float in row", line=lineno) from None
+                tokens.append(token)
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            # only this path pays to find the line: read again with each bad
+            # byte as a lone surrogate, which strict encoding rejects
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
+                for lineno, raw in enumerate(again, start=1):
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise TextFormatError(
+                            f"not valid UTF-8 ({exc.reason})", line=lineno
+                        ) from None
+            raise
     if not tokens:
         raise TextFormatError("no embedding rows found", line=1)
     if expect_count is not None and len(tokens) != expect_count:
@@ -314,8 +306,11 @@ def write_text(table: EmbeddingTable, path, header: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"{len(table)} {table.dim}\n")
-        for token, row in zip(table.tokens, table.matrix):
-            fh.write(token + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
+        # Python floats from tolist() format faster than numpy scalars
+        fh.writelines(
+            token + " " + " ".join(["%.9g" % v for v in row.tolist()]) + "\n"
+            for token, row in zip(table.tokens, table.matrix)
+        )
 
 
 def load_embeddings(path, fmt: str = "auto") -> EmbeddingTable:

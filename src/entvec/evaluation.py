@@ -113,22 +113,35 @@ def load_pairs(path) -> WordPairDataset:
     """Read a ``hypo<TAB>hyper<TAB>label`` file, preserving order."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DatasetFormatError(
-                    f"expected 3 tab-separated columns, got {len(fields)}", lineno
-                )
-            hypo, hyper, label = fields
-            if label not in ("0", "1"):
-                raise DatasetFormatError(f"bad label {label!r}", lineno)
-            try:
-                pairs.append(WordPair(hypo, hyper, int(label)))
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), lineno) from None
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DatasetFormatError(
+                        f"expected 3 tab-separated columns, got {len(fields)}", lineno
+                    )
+                hypo, hyper, label = fields
+                if label not in ("0", "1"):
+                    raise DatasetFormatError(f"bad label {label!r}", lineno)
+                try:
+                    pairs.append(WordPair(hypo, hyper, int(label)))
+                except ValueError as exc:
+                    raise DatasetFormatError(str(exc), lineno) from None
+        except UnicodeDecodeError as exc:
+            # only this path pays to find the line: read again with each bad
+            # byte as a lone surrogate, which strict encoding rejects
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
+                for lineno, raw in enumerate(again, start=1):
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise DatasetFormatError(
+                            f"not valid UTF-8 ({exc.reason})", lineno
+                        ) from None
+            raise
     return WordPairDataset(pairs)
 
 

@@ -488,5 +488,12 @@ def parse_graph(text: str) -> EntailmentGraph:
 
 
 def parse_graph_file(path) -> EntailmentGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte is on the last line of the text up to and including it
+        line = len((data[:exc.start] + b"?").decode("utf-8").splitlines())
+        raise GraphFormatError(f"not valid UTF-8 ({exc.reason})", line) from None
+    return parse_graph(text)

@@ -114,6 +114,16 @@ class TestEvalCommand:
             "--methods", "dot",
         ]) == 2
 
+    def test_header_count_beyond_the_file_is_data_error(self, capsys, tmp_path):
+        vec_path = tmp_path / "huge.bin"
+        vec_path.write_bytes(b"99999999999 300\nab " + b"\0" * 1200)
+        assert main([
+            "eval", "--embeddings", str(vec_path), "--pairs", PAIRS, "--methods", "dot",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == ("entvec: error: header promises 99999999999 entries but the file "
+                       "has 1 (byte offset 1219)\n")
+
     def test_unknown_method(self, capsys):
         assert main([
             "eval", "--embeddings", VECTORS, "--pairs", PAIRS, "--methods", "svm",

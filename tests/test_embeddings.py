@@ -1,9 +1,14 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from entvec import embeddings
 from entvec.embeddings import (
     CountMismatchError,
     DuplicateTokenError,
+    EmbeddingFormatError,
     EmbeddingTable,
     MalformedHeaderError,
     TextFormatError,
@@ -14,6 +19,10 @@ from entvec.embeddings import (
     write_binary,
     write_text,
 )
+
+
+ROW2 = np.array([1, 2], dtype="<f4").tobytes()
+ONE = np.array([1], dtype="<f4").tobytes()
 
 
 def small_table():
@@ -156,6 +165,87 @@ class TestBinaryFormat:
         assert loaded.tokens == tokens
         np.testing.assert_array_equal(loaded.matrix, matrix)
 
+    def test_token_of_65536_bytes_loads(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"1 2\n" + b"a" * 65536 + b" " + ROW2)
+        assert load_binary(path).tokens == ["a" * 65536]
+
+    def test_header_line_of_128_bytes_loads(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"1 2" + b" " * 125 + b"\na " + ROW2)
+        assert load_binary(path).tokens == ["a"]
+
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe has no size to bound the allocation by
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        data = binary_bytes(2, 2, [("a", [1, 2]), ("b", [3, 4])])
+        path = tmp_path / "vecs.bin"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        loaded = load_binary(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.tokens == ["a", "b"]
+        np.testing.assert_array_equal(loaded.matrix, [[1, 2], [3, 4]])
+
+
+# (file bytes, error class, byte offset, message) for every binary error
+BINARY_ERRORS = {
+    "empty file": (b"", MalformedHeaderError, 0, "empty file"),
+    "header never ends": (b"3 2", MalformedHeaderError, 0, "header line never ends"),
+    "header without newline": (
+        b"3" * 200, MalformedHeaderError, 0, "no delimiter within 128 bytes"),
+    "header over 128 bytes": (
+        b"1 2" + b" " * 126 + b"\na " + ROW2, MalformedHeaderError, 0,
+        "no delimiter within 128 bytes"),
+    "bad header": (
+        b"three 2\na " + b"\0" * 8, MalformedHeaderError, 0,
+        "expected '<count> <dim>', got b'three 2'"),
+    "zero count": (
+        b"0 2\n", MalformedHeaderError, 0, "count and dim must be positive, got 0 and 2"),
+    "short count": (
+        b"3 2\na " + ROW2 + b"\nb " + ROW2 + b"\n", CountMismatchError, 26,
+        "header promises 3 entries but the file has 2"),
+    "file ends mid-token": (
+        b"2 2\na " + ROW2 + b"\nbc", TruncatedFileError, 15, "file ends mid-token"),
+    "file ends inside a vector": (
+        b"1 2\nab " + ROW2[:5], TruncatedFileError, 7, "file ends inside a 8-byte vector"),
+    "duplicate token": (
+        b"2 1\na " + ONE + b"\na " + ONE + b"\n", DuplicateTokenError, 11,
+        "duplicate token 'a'"),
+    "data past the promised entries": (
+        b"1 1\na " + ONE + b"\nb " + ONE, CountMismatchError, 11,
+        "file continues past the 1 promised entries"),
+    "token over 65536 bytes": (
+        b"1 2\n" + b"a" * 65537 + b" " + ROW2, MalformedHeaderError, 4,
+        "no delimiter within 65536 bytes"),
+    # counts and dims no file of this size can hold: the matrix is allocated
+    # for what the file can hold, so the scan reports where the data runs out
+    "count larger than the file holds": (
+        b"99999999999 300\nab " + b"\0" * 1200, CountMismatchError, 1219,
+        "header promises 99999999999 entries but the file has 1"),
+    "dim larger than the file holds": (
+        b"1 99999999999\nab " + b"\0" * 1200, TruncatedFileError, 17,
+        "file ends inside a 399999999996-byte vector"),
+}
+
+
+class TestBinaryErrorOffsets:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, embeddings._CHUNK])
+    @pytest.mark.parametrize("case", list(BINARY_ERRORS))
+    def test_class_offset_and_message(self, tmp_path, monkeypatch, case, chunk):
+        data, error, offset, message = BINARY_ERRORS[case]
+        monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(data)
+        with pytest.raises(EmbeddingFormatError) as exc_info:
+            load_binary(path)
+        assert type(exc_info.value) is error
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value) == f"{message} (byte offset {offset})"
+
 
 class TestTextFormat:
     def test_round_trip_with_header(self, tmp_path):
@@ -181,6 +271,28 @@ class TestTextFormat:
             write_text(load_binary(path), tmp_path / "vecs.txt")
         # a ValueError, so the command line reports it with exit status 2
         assert issubclass(UnicodeEncodeError, ValueError)
+
+    def test_writes_numpy_float32_text(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, -1e-45, f32.tiny,
+                           1e-40, f32.max, -f32.max, 0.1, 1 / 3, 16777217.0],
+                          dtype=np.float32)
+        path = tmp_path / "vecs.txt"
+        write_text(EmbeddingTable(["w"], values[None, :]), path)
+        expect = " ".join(f"{v:.9g}" for v in values)  # numpy float32 scalars
+        assert path.read_text(encoding="utf-8") == f"1 {values.size}\nw {expect}\n"
+
+    @pytest.mark.parametrize("head, line", [
+        (b"dog 1 2\nanimal 3 4\n", 3),
+        (b"dog 1 2\r\nanimal 3 4\rcat 5 6\n", 4),
+        (b"".join(b"w%d 1 2\n" % i for i in range(5000)), 5001),  # past the first read
+    ])
+    def test_invalid_utf8_names_the_line(self, tmp_path, head, line):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(head + b"c\xffat 5 6\nmore 7 8\n")
+        with pytest.raises(TextFormatError, match="not valid UTF-8") as exc_info:
+            load_text(path)
+        assert exc_info.value.line == line
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "vecs.txt"

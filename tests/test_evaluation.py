@@ -81,6 +81,18 @@ class TestLoadPairs:
             load_pairs(path)
         assert exc_info.value.line == 1
 
+    @pytest.mark.parametrize("head, line", [
+        (b"dog\tanimal\t1\n\n", 3),
+        (b"dog\tanimal\t1\r\ncat\tanimal\t1\r", 3),
+        (b"".join(b"w%d\tanimal\t1\n" % i for i in range(3000)), 3001),  # past the first read
+    ])
+    def test_invalid_utf8_names_the_line(self, tmp_path, head, line):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(head + b"c\xffat\tanimal\t1\n")
+        with pytest.raises(DatasetFormatError, match="not valid UTF-8") as exc_info:
+            load_pairs(path)
+        assert exc_info.value.line == line
+
     def test_positives_helper(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("dog\tanimal\t1\nanimal\tdog\t0\n")

@@ -500,6 +500,18 @@ class TestParseGraph:
         g = parse_graph_file(path)
         np.testing.assert_array_equal(g.theta("x"), [1.5])
 
+    @pytest.mark.parametrize("head, line", [
+        (b"node x 1\n# comment\n", 3),
+        (b"node x 1\r\nnode y 1\r", 3),
+        (b"".join(b"node n%d 1\n" % i for i in range(3000)), 3001),
+    ])
+    def test_parse_graph_file_names_the_invalid_utf8_line(self, tmp_path, head, line):
+        path = tmp_path / "toy.graph"
+        path.write_bytes(head + b"node \xff 1\n")
+        with pytest.raises(GraphFormatError, match="not valid UTF-8") as exc_info:
+            parse_graph_file(path)
+        assert exc_info.value.line == line
+
     def test_bundled_chain_fixture(self):
         import pathlib
 
