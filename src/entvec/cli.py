@@ -12,6 +12,13 @@ Machine-readable output (scores, CSV, TSV, model paths) goes to stdout;
 logs and the human-readable table go to stderr.  Exit codes: 0 success,
 1 usage error, 2 data/runtime error.  ``--embeddings`` falls back to the
 ENTVEC_EMBEDDINGS environment variable.
+
+Loading order: a missing ``--embeddings`` is reported first, before any
+file is read.  ``eval`` and ``train`` then read the pairs file and
+``score`` takes its two words; only after that is the embedding file
+read, keeping just the rows of those words (``keep=`` of the loaders).
+So when both the pairs file and the embedding file are bad, the pairs
+file's error is the one reported.
 """
 
 from __future__ import annotations
@@ -110,16 +117,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_table(args):
-    if not args.embeddings:
-        raise UsageError(
-            f"no embeddings file: pass --embeddings or set ${EMBEDDINGS_ENV_VAR}"
-        )
-    return load_embeddings(args.embeddings, fmt=args.format)
+def _load_table(args, keep):
+    """The embedding rows of the tokens in ``keep``; the others are scanned, not stored."""
+    return load_embeddings(args.embeddings, fmt=args.format, keep=keep)
+
+
+def _pair_words(dataset) -> set:
+    return {word for p in dataset.pairs for word in (p.hypo, p.hyper)}
 
 
 def _cmd_score(args) -> int:
-    table = _load_table(args)
+    table = _load_table(args, {args.hypo, args.hyper})
     vecs = []
     for word in (args.hypo, args.hyper):
         vec = table.lookup(word)
@@ -145,8 +153,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"methods {mapped} need training; rerun with --train"
         )
-    table = _load_table(args)
     dataset = evaluation.load_pairs(args.pairs)
+    table = _load_table(args, _pair_words(dataset))
     request = evaluation.EvalRequest(
         dataset=dataset, embeddings=table, methods=methods, shift=args.shift,
         k_folds=args.folds, seed=args.seed, threads=args.threads,
@@ -159,8 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    table = _load_table(args)
     dataset = evaluation.load_pairs(args.pairs)
+    table = _load_table(args, _pair_words(dataset))
     kept = [p for p in dataset.pairs if p.hypo in table and p.hyper in table]
     dropped = len(dataset.pairs) - len(kept)
     if not kept:
@@ -219,6 +227,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "embeddings" in vars(args) and not args.embeddings:
+            raise UsageError(
+                f"no embeddings file: pass --embeddings or set ${EMBEDDINGS_ENV_VAR}"
+            )
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"entvec: error: {exc}", file=sys.stderr)

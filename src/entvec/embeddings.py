@@ -29,6 +29,25 @@ header promising more than that raises CountMismatchError or
 TruncatedFileError where the data runs out.  The header line may hold at
 most 128 bytes and a token at most 65536; a longer one raises
 MalformedHeaderError.
+
+Every loader takes ``keep``, an iterable of tokens (default None: every
+row).  With it, only the rows whose token is in ``keep`` are stored, in
+file order, so a command that scores a few thousand words does not copy a
+GoogleNews-sized table first.  The whole file is still read and checked:
+header, counts, duplicates, truncation, delimiter limits and, in text
+files, every row's field count and floats.  A file gives the same error
+with ``keep`` as without, byte offset or line included, and on success
+the kept rows are bit-identical to the full load's::
+
+    table = load_embeddings("vectors.bin", keep={"dog", "animal", "unicorn"})
+    table.tokens  # 'dog' and 'animal' in file order; 'unicorn' is not in the file
+
+Tokens are compared as loaded, so a binary token that is not valid UTF-8
+is kept by its ``surrogateescape`` string.  ``load_binary`` copies only
+kept rows, into a matrix sized for at most ``len(keep)`` of them; the
+set of tokens seen, kept for the duplicate check, still grows with the
+file.  A table may be empty: that is what ``keep`` gives when none of its
+tokens is in the file.
 """
 
 from __future__ import annotations
@@ -91,24 +110,31 @@ class TextFormatError(EmbeddingFormatError):
 
 
 class EmbeddingTable:
-    """Immutable token -> vector table; rows float32, lookups float64."""
+    """Immutable token -> vector table; rows float32, lookups float64.
 
-    def __init__(self, tokens, matrix):
+    A table needs at least one row unless ``allow_empty`` is set, as the
+    loaders set it: a load whose ``keep`` matches no token gives an empty
+    table, in which every lookup misses.
+    """
+
+    def __init__(self, tokens, matrix, *, allow_empty: bool = False):
         matrix = np.asarray(matrix, dtype=np.float32)
         tokens = list(tokens)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
         if len(tokens) != matrix.shape[0]:
             raise ValueError(f"{len(tokens)} tokens but {matrix.shape[0]} matrix rows")
-        if len(tokens) == 0:
+        if len(tokens) == 0 and not allow_empty:
             raise ValueError("embedding table needs at least one token")
         if matrix.shape[1] == 0:
             raise ValueError("embedding vectors must have at least one dimension")
-        self._vocab = {}
-        for i, tok in enumerate(tokens):
-            if tok in self._vocab:
-                raise DuplicateTokenError(f"duplicate token {tok!r}")
-            self._vocab[tok] = i
+        self._vocab = dict(zip(tokens, range(len(tokens))))
+        if len(self._vocab) != len(tokens):
+            seen = set()
+            for tok in tokens:  # only to name the first repeat
+                if tok in seen:
+                    raise DuplicateTokenError(f"duplicate token {tok!r}")
+                seen.add(tok)
         self._matrix = matrix
         self._matrix.setflags(write=False)
 
@@ -142,8 +168,9 @@ class EmbeddingTable:
         return self._matrix[idx].astype(np.float64)
 
 
-def load_binary(path) -> EmbeddingTable:
-    """Read a word2vec-format binary embedding file."""
+def load_binary(path, keep=None) -> EmbeddingTable:
+    """Read a word2vec-format binary embedding file, or only the rows of ``keep``."""
+    keep = None if keep is None else set(keep)
     with open(path, "rb") as fh:
         header = fh.readline(129)  # at most 128 bytes and the newline
         if not header:
@@ -170,9 +197,10 @@ def load_binary(path) -> EmbeddingTable:
             # hold more rows than this whatever its header says
             rows = min(count, (fh.seek(0, 2) - base) // (row_bytes + 1))
             fh.seek(base)
-        matrix = np.empty(rows * dim, dtype="<f4")
+        matrix = np.empty((rows if keep is None else min(rows, len(keep))) * dim, dtype="<f4")
         out = memoryview(matrix).cast("B")
         tokens = []
+        n = 0  # rows copied
         seen = set()
         buf = b""
         pos = 0  # start of the current entry in buf
@@ -208,18 +236,20 @@ def load_binary(path) -> EmbeddingTable:
             if token in seen:
                 raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
             seen.add(token)
-            tokens.append(token)
             if stop > len(buf):
                 raise TruncatedFileError(
                     f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
                 )
-            out[i * row_bytes:(i + 1) * row_bytes] = buf[sp + 1:stop]
+            if keep is None or token in keep:
+                tokens.append(token)
+                out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
+                n += 1
             pos = stop + (buf[stop:stop + 1] == b"\n")
         if pos < len(buf) or fh.read(1):
             raise CountMismatchError(
                 f"file continues past the {count} promised entries", offset=base + pos
             )
-    return EmbeddingTable(tokens, matrix.reshape(count, dim))
+    return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim), allow_empty=True)
 
 
 def write_binary(table: EmbeddingTable, path) -> None:
@@ -241,11 +271,12 @@ def _looks_like_header(fields) -> bool:
     return True
 
 
-def load_text(path) -> EmbeddingTable:
-    """Read a whitespace-separated text embedding file."""
+def load_text(path, keep=None) -> EmbeddingTable:
+    """Read a whitespace-separated text embedding file, or only the rows of ``keep``."""
+    keep = None if keep is None else set(keep)
     tokens = []
     rows = []
-    seen = set()
+    seen = set()  # every row's token, kept or not
     expect_count = None
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -275,11 +306,12 @@ def load_text(path) -> EmbeddingTable:
                     raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
                 seen.add(token)
                 try:
-                    row = np.array([float(v) for v in values], dtype=np.float32)
+                    values = [float(v) for v in values]
                 except ValueError:
                     raise TextFormatError("unparsable float in row", line=lineno) from None
-                tokens.append(token)
-                rows.append(row)
+                if keep is None or token in keep:
+                    tokens.append(token)
+                    rows.append(np.array(values, dtype=np.float32))
         except UnicodeDecodeError as exc:
             # only this path pays to find the line: read again with each bad
             # byte as a lone surrogate, which strict encoding rejects
@@ -292,13 +324,14 @@ def load_text(path) -> EmbeddingTable:
                             f"not valid UTF-8 ({exc.reason})", line=lineno
                         ) from None
             raise
-    if not tokens:
+    if not seen:
         raise TextFormatError("no embedding rows found", line=1)
-    if expect_count is not None and len(tokens) != expect_count:
+    if expect_count is not None and len(seen) != expect_count:
         raise CountMismatchError(
-            f"header promises {expect_count} entries but the file has {len(tokens)}"
+            f"header promises {expect_count} entries but the file has {len(seen)}"
         )
-    return EmbeddingTable(tokens, np.vstack(rows))
+    matrix = np.vstack(rows) if rows else np.empty((0, dim), np.float32)
+    return EmbeddingTable(tokens, matrix, allow_empty=True)
 
 
 def write_text(table: EmbeddingTable, path, header: bool = True) -> None:
@@ -313,8 +346,8 @@ def write_text(table: EmbeddingTable, path, header: bool = True) -> None:
         )
 
 
-def load_embeddings(path, fmt: str = "auto") -> EmbeddingTable:
-    """Dispatch on ``fmt`` or sniff it from the file extension."""
+def load_embeddings(path, fmt: str = "auto", keep=None) -> EmbeddingTable:
+    """Dispatch on ``fmt`` or sniff it from the file extension; ``keep`` as for the loaders."""
     path = str(path)
     if fmt == "auto":
         if path.endswith(".bin"):
@@ -326,7 +359,7 @@ def load_embeddings(path, fmt: str = "auto") -> EmbeddingTable:
                 f"cannot infer embedding format from {path!r}; pass fmt='binary' or 'text'"
             )
     if fmt == "binary":
-        return load_binary(path)
+        return load_binary(path, keep=keep)
     if fmt == "text":
-        return load_text(path)
+        return load_text(path, keep=keep)
     raise ValueError(f"unknown embedding format {fmt!r}")

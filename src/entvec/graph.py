@@ -235,27 +235,34 @@ class EntailmentGraph:
     def add_node(self, name: str, dim: int | None = None, theta=None) -> None:
         if name in self._theta:
             raise GraphStructureError(f"duplicate node {name!r}")
-        if theta is None:
-            if dim is None:
-                raise GraphStructureError(f"node {name!r} needs a dim or a theta vector")
-            theta = np.zeros(dim, dtype=np.float64)
-        else:
-            theta = np.asarray(theta, dtype=np.float64)
+        if theta is not None:
+            theta = np.array(theta, dtype=np.float64)  # a copy the caller cannot change
             if theta.ndim != 1 or theta.size == 0:
                 raise GraphStructureError(f"node {name!r} theta must be a non-empty vector")
             if dim is not None and theta.shape[0] != dim:
                 raise GraphStructureError(
                     f"node {name!r} declares dim {dim} but theta has {theta.shape[0]} entries"
                 )
-        if not np.all(np.isfinite(theta)):
-            raise GraphStructureError(f"node {name!r} theta contains non-finite values")
-        if self._dim is None:
-            self._dim = theta.shape[0]
-        elif theta.shape[0] != self._dim:
+            if not np.all(np.isfinite(theta)):
+                raise GraphStructureError(f"node {name!r} theta contains non-finite values")
+            dim = theta.shape[0]
+        elif dim is None:
+            raise GraphStructureError(f"node {name!r} needs a dim or a theta vector")
+        # checked before the zero priors are allocated, so that a dim no
+        # memory holds is reported as a mismatch when the graph has one
+        if self._dim is not None and dim != self._dim:
             raise GraphStructureError(
-                f"node {name!r} has dim {theta.shape[0]} but the graph uses dim {self._dim}"
+                f"node {name!r} has dim {dim} but the graph uses dim {self._dim}"
             )
-        self._theta[name] = theta.copy()
+        if theta is None:
+            try:
+                theta = np.zeros(dim, dtype=np.float64)
+            except (MemoryError, ValueError):
+                raise GraphStructureError(
+                    f"node {name!r} dim {dim} cannot be allocated"
+                ) from None
+        self._dim = dim
+        self._theta[name] = theta
 
     def _check_edge(self, a: str, b: str) -> None:
         for name in (a, b):

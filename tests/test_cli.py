@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from entvec.cli import EMBEDDINGS_ENV_VAR, main
-from entvec.embeddings import EmbeddingTable, load_text, write_text
+from entvec.embeddings import (
+    EmbeddingTable,
+    load_embeddings,
+    load_text,
+    write_binary,
+    write_text,
+)
 from entvec.interpret import LOG_ODDS, UNK_DUP, pair_score
 from entvec.training import load_model
 
@@ -26,6 +32,15 @@ def write_disjoint_fixture(tmp_path, n_pairs=12, d=4):
     pair_path = tmp_path / "train_pairs.tsv"
     pair_path.write_text("\n".join(lines) + "\n")
     return str(vec_path), str(pair_path)
+
+
+def toy_vectors(tmp_path, fmt):
+    """The toy table in ``fmt``: the text file itself, or a binary copy."""
+    if fmt == "text":
+        return VECTORS
+    path = tmp_path / "toy.bin"
+    write_binary(load_text(VECTORS), path)
+    return str(path)
 
 
 class TestScoreCommand:
@@ -60,6 +75,23 @@ class TestScoreCommand:
         assert main(["score", "--embeddings", VECTORS, "dragon", "dog"]) == 2
         assert "dragon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    def test_unknown_words_name_the_hyponym_first(self, capsys, tmp_path, fmt):
+        vectors = toy_vectors(tmp_path, fmt)
+        assert main(["score", "--embeddings", vectors, "dragon", "wyvern"]) == 2
+        assert capsys.readouterr().err == \
+            "entvec: error: word 'dragon' is not in the embeddings\n"
+        assert main(["score", "--embeddings", vectors, "dog", "wyvern"]) == 2
+        assert capsys.readouterr().err == \
+            "entvec: error: word 'wyvern' is not in the embeddings\n"
+
+    def test_binary_score_matches_text(self, capsys, tmp_path):
+        assert main(["score", "--embeddings", VECTORS, "puppy", "dog"]) == 0
+        text_out = capsys.readouterr().out
+        assert main(["score", "--embeddings", toy_vectors(tmp_path, "binary"),
+                     "puppy", "dog"]) == 0
+        assert capsys.readouterr().out == text_out
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["score", "--embeddings", VECTORS, "--frobnicate", "a", "b"])
@@ -77,6 +109,13 @@ class TestEvalCommand:
         # the aligned human table goes to stderr
         assert captured.err.startswith("method")
         assert "logodds-bwd" in captured.err
+
+    def test_golden_csv_from_a_binary_table(self, capsys, tmp_path):
+        assert main([
+            "eval", "--embeddings", toy_vectors(tmp_path, "binary"), "--pairs", PAIRS,
+            "--methods", "logodds-bwd,logodds-fact,dot,dif,wcos",
+        ]) == 0
+        assert capsys.readouterr().out == (DATA / "toy_report_golden.csv").read_text()
 
     def test_mapped_without_train_flag(self, capsys):
         assert main([
@@ -124,6 +163,23 @@ class TestEvalCommand:
         assert err == ("entvec: error: header promises 99999999999 entries but the file "
                        "has 1 (byte offset 1219)\n")
 
+    def test_bad_pairs_file_is_reported_before_a_bad_table(self, capsys, tmp_path):
+        vec_path = tmp_path / "bad.bin"
+        vec_path.write_bytes(b"2 3\nab ")
+        pair_path = tmp_path / "bad.tsv"
+        pair_path.write_text("dog\tanimal\n")
+        assert main([
+            "eval", "--embeddings", str(vec_path), "--pairs", str(pair_path),
+            "--methods", "dot",
+        ]) == 2
+        assert capsys.readouterr().err == \
+            "entvec: error: line 1: expected 3 tab-separated columns, got 2\n"
+
+    def test_missing_embeddings_comes_before_the_pairs(self, capsys, monkeypatch):
+        monkeypatch.delenv(EMBEDDINGS_ENV_VAR, raising=False)
+        assert main(["eval", "--pairs", "/nonexistent.tsv", "--methods", "dot"]) == 1
+        assert "--embeddings" in capsys.readouterr().err
+
     def test_unknown_method(self, capsys):
         assert main([
             "eval", "--embeddings", VECTORS, "--pairs", PAIRS, "--methods", "svm",
@@ -158,6 +214,37 @@ class TestTrainCommand:
         ]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_all_oov_pairs_are_named_for_either_format(capsys, tmp_path, command, fmt):
+    # only the pairs' words are loaded, so here the table has no rows at all
+    pair_path = tmp_path / "pairs.tsv"
+    pair_path.write_text("ghost\tspirit\t1\nwraith\tghost\t0\n")
+    argv = [command, "--embeddings", toy_vectors(tmp_path, fmt), "--pairs", str(pair_path)]
+    argv += ["--methods", "dot"] if command == "eval" else ["--out-dir", str(tmp_path / "m")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "entvec: error: every pair has an out-of-vocabulary word\n"
+
+
+@pytest.mark.parametrize("command", ["score", "eval", "train"])
+def test_only_the_scored_words_are_loaded(capsys, tmp_path, monkeypatch, command):
+    loads = []
+    monkeypatch.setattr("entvec.cli.load_embeddings",
+                        lambda *a, **kw: loads.append(kw["keep"]) or load_embeddings(*a, **kw))
+    vectors, pairs = VECTORS, PAIRS
+    if command == "train":
+        vectors, pairs = write_disjoint_fixture(tmp_path, n_pairs=4)
+    argv = {"score": ["score", "puppy", "dog"],
+            "eval": ["eval", "--pairs", pairs, "--methods", "dot"],
+            "train": ["train", "--pairs", pairs, "--folds", "2", "--epochs", "1",
+                      "--out-dir", str(tmp_path / "m")]}[command]
+    assert main(argv + ["--embeddings", vectors]) == 0
+    words = {w for line in open(pairs, encoding="utf-8") for w in line.split("\t")[:2]}
+    assert loads == [{"puppy", "dog"} if command == "score" else words]
+
+
 class TestGraphCommand:
     def test_chain_assignments(self, capsys):
         assert main(["graph", "--file", CHAIN]) == 0
@@ -184,6 +271,21 @@ class TestGraphCommand:
         bad.write_text("node a 1\nfrobnicate a\n")
         assert main(["graph", "--file", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        # 8e17 bytes of priors: more than any address space maps
+        ("node x 100000000000000000\n",
+         "line 1: node 'x' dim 100000000000000000 cannot be allocated"),
+        ("node x 3\nnode y 99999999999\n",
+         "line 2: node 'y' has dim 99999999999 but the graph uses dim 3"),
+    ], ids=["unallocatable", "mismatch"])
+    def test_huge_dim_is_one_line_data_error(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "huge.graph"
+        bad.write_text(text)
+        assert main(["graph", "--file", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"entvec: error: {message}\n"
 
 
 class TestGradGridCommand:

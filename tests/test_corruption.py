@@ -3,7 +3,8 @@
 Each corrupted file either loads or raises the reader's documented error
 class; a crash of another kind (IndexError, UnicodeDecodeError,
 MemoryError, ...) or a hang fails the test.  For ``load_binary`` the
-outcome must also be the same whatever size of chunk the file is read in.
+outcome must also be the same whatever size of chunk the file is read in,
+and for both embedding readers the same with ``keep=`` as without.
 """
 
 import signal
@@ -24,6 +25,9 @@ from entvec.graph import GraphFormatError, parse_graph_file
 CASES = 250  # per reader
 TIME_BOUND_S = 60.0  # per test; the cases take well under 5 s
 CHUNKS = (1, 7, 64, embeddings._CHUNK)
+# tokens no corrupted file holds: one that does not encode, and one whose
+# bytes are those of "café" but which is not the string "café"
+ABSENT = {"zebra", "\ud800", "caf\udcc3\udca9"}
 
 PAIRS = "dog\tanimal\t1\ncat\tanimal\t1\ncafé\tdrink\t1\nanimal\tdog\t0\n\npuppy\tcat\t0\n"
 GRAPH = """# a small taxonomy
@@ -124,13 +128,17 @@ def test_corrupt_files_load_or_raise_the_documented_error(tmp_path, read, error,
     assert seen == {True, False}  # the cases reach both outcomes
 
 
-def binary_outcome(path):
-    """(class, offset, message), or the tokens and matrix bytes of a loaded table."""
+def outcome(read, path, keep=None):
+    """(class, offset, line, message), or the tokens, shape and bytes of a loaded table."""
     try:
-        table = embeddings.load_binary(path)
+        table = read(path, keep=keep)
     except EmbeddingFormatError as exc:
-        return type(exc), exc.offset, str(exc)
-    return table.tokens, table.matrix.tobytes()
+        return type(exc), exc.offset, exc.line, str(exc)
+    return table.tokens, table.matrix.shape, table.matrix.tobytes()
+
+
+def binary_outcome(path):
+    return outcome(embeddings.load_binary, path)
 
 
 @pytest.mark.parametrize("newline", [b"\n", b""], ids=["newlines", "no-newlines"])
@@ -157,3 +165,35 @@ def test_row_longer_than_the_file_is_reported_at_its_token(tmp_path, monkeypatch
     with pytest.raises(TruncatedFileError) as exc_info:
         embeddings.load_binary(path)
     assert exc_info.value.offset == 17
+
+
+@pytest.mark.parametrize("read, clean, chunks", [
+    (embeddings.load_binary, lambda tmp: binary_file(), CHUNKS),
+    (embeddings.load_binary, lambda tmp: binary_file(b""), CHUNKS),
+    (embeddings.load_text, text_file, (None,)),
+], ids=["load_binary-newlines", "load_binary-no-newlines", "load_text"])
+def test_keep_gives_the_full_outcome_restricted(tmp_path, monkeypatch, read, clean, chunks):
+    # an error is the full load's, class, offset or line and message alike;
+    # a table is the full load's kept rows, in file order and bit-identical
+    data = clean(tmp_path)
+    tokens = small_table().tokens
+    rng = np.random.default_rng(14)
+    path = tmp_path / "corrupt"
+    for kind, bad in corruptions(data, b" \n", seed=13):
+        path.write_bytes(bad)
+        subset = {t for t in tokens if rng.random() < 0.5} | {"zebra"}
+        for chunk in chunks:
+            if chunk is not None:
+                monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+            try:
+                full = read(path)
+            except EmbeddingFormatError:
+                full = None
+            for keep in (set(), subset, ABSENT):
+                if full is None:
+                    want = outcome(read, path)
+                else:
+                    rows = [i for i, t in enumerate(full.tokens) if t in keep]
+                    want = ([full.tokens[i] for i in rows], (len(rows), full.dim),
+                            full.matrix[rows].tobytes())
+                assert outcome(read, path, keep) == want, (kind, bad, chunk, keep)

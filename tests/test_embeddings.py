@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,10 @@ class TestEmbeddingTable:
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateTokenError):
             EmbeddingTable(["a", "a"], np.zeros((2, 1), dtype=np.float32))
+
+    def test_names_the_first_repeat(self):
+        with pytest.raises(DuplicateTokenError, match="^duplicate token 'b'$"):
+            EmbeddingTable(["a", "b", "b", "a"], np.zeros((4, 1), dtype=np.float32))
 
     def test_rejects_shape_problems(self):
         with pytest.raises(ValueError):
@@ -246,6 +251,17 @@ class TestBinaryErrorOffsets:
         assert exc_info.value.offset == offset
         assert str(exc_info.value) == f"{message} (byte offset {offset})"
 
+    @pytest.mark.parametrize("keep", [set(), {"a"}, {"b", "zebra"}], ids=["none", "a", "b"])
+    @pytest.mark.parametrize("case", list(BINARY_ERRORS))
+    def test_keep_reports_the_same_error(self, tmp_path, case, keep):
+        data, error, offset, message = BINARY_ERRORS[case]
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(data)
+        with pytest.raises(EmbeddingFormatError) as exc_info:
+            load_binary(path, keep=keep)
+        assert type(exc_info.value) is error
+        assert str(exc_info.value) == f"{message} (byte offset {offset})"
+
 
 class TestTextFormat:
     def test_round_trip_with_header(self, tmp_path):
@@ -371,3 +387,65 @@ class TestLoadEmbeddings:
     def test_unknown_format_name(self, tmp_path):
         with pytest.raises(ValueError, match="unknown embedding format"):
             load_embeddings(tmp_path / "v.bin", fmt="parquet")
+
+
+class TestKeep:
+    @pytest.mark.parametrize("suffix", [".bin", ".txt"])
+    def test_kept_rows_in_file_order(self, tmp_path, suffix):
+        path = tmp_path / f"vecs{suffix}"
+        table = small_table()
+        (write_binary if suffix == ".bin" else write_text)(table, path)
+        kept = load_embeddings(path, keep=iter(["café", "unicorn", "dog"]))
+        assert kept.tokens == ["dog", "café"]
+        assert kept.matrix.tobytes() == table.matrix[[0, 2]].tobytes()
+
+    @pytest.mark.parametrize("suffix", [".bin", ".txt"])
+    def test_nothing_kept_is_an_empty_table(self, tmp_path, suffix):
+        path = tmp_path / f"vecs{suffix}"
+        (write_binary if suffix == ".bin" else write_text)(small_table(), path)
+        empty = load_embeddings(path, keep=["unicorn"])
+        assert len(empty) == 0 and empty.dim == 2 and empty.tokens == []
+        assert empty.lookup("dog") is None
+
+    def test_binary_tokens_match_as_loaded(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"2 1\na\xff " + ONE + b"\n\xc3\xa9 " + ONE + b"\n")
+        assert load_binary(path, keep={"a\udcff"}).tokens == ["a\udcff"]
+        # these strings encode to the bytes of "é" or do not encode at all,
+        # but no file token loads as either
+        assert load_binary(path, keep={"\udcc3\udca9", "\ud800"}).tokens == []
+        assert load_binary(path, keep={"é"}).tokens == ["é"]
+
+    def test_text_checks_every_row(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 2\ndog 1 2\ncat 1 x\n")
+        with pytest.raises(TextFormatError, match=r"unparsable float in row \(line 3\)"):
+            load_text(path, keep={"dog"})
+        path.write_text("3 2\ndog 1 2\ncat 1 2\n")
+        with pytest.raises(CountMismatchError, match="the file has 2"):
+            load_text(path, keep={"dog"})
+        path.write_text("dog 1 2\ncat 1 2\ncat 3 4\n")
+        with pytest.raises(DuplicateTokenError, match=r"'cat' \(line 3\)"):
+            load_text(path, keep={"dog"})
+
+    def test_memory_follows_the_kept_rows(self, tmp_path):
+        # 20 000 x 300 float32 is a 24 MB matrix; keeping 10 rows must peak
+        # far below it.  The peak (6.4 MB) is about 2.7 MB of read buffers
+        # (up to three 1 MB chunks at a refill) and 3.6 MB for the set of
+        # tokens seen, which grows with the file.
+        rng = np.random.default_rng(31)
+        tokens = [f"w{k}" for k in range(20_000)]
+        matrix = rng.standard_normal((len(tokens), 300), dtype=np.float32)
+        path = tmp_path / "big.bin"
+        write_binary(EmbeddingTable(tokens, matrix), path)
+        keep = set(rng.choice(tokens, size=10, replace=False).tolist())
+        tracemalloc.start()
+        try:
+            kept = load_binary(path, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 3, peak
+        rows = [k for k, t in enumerate(tokens) if t in keep]
+        assert kept.tokens == [tokens[k] for k in rows]
+        assert kept.matrix.tobytes() == matrix[rows].tobytes()

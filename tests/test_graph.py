@@ -486,6 +486,12 @@ class TestParseGraph:
             ("node a 1\nobserve a one 0.5", 2, "bad dimension index"),
             ("node a 1\nobserve a 1 0.5", 2, "out of range"),
             ("node a 1\nobserve a 0 inf", 2, "must be finite"),
+            # zero priors of 8e17 bytes: more than any address space maps
+            ("node x 100000000000000000", 1, "dim 100000000000000000 cannot be allocated"),
+            ("node x 100000000000000000000", 1, "cannot be allocated"),
+            ("node x 3\nnode y 99999999999", 2, "has dim 99999999999 but the graph uses dim 3"),
+            ("node x 3 0 0 0\nnode y 100000000000000000 # no priors", 2,
+             "has dim 100000000000000000 but the graph uses dim 3"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
