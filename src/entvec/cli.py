@@ -169,14 +169,11 @@ def _cmd_eval(args) -> int:
 def _cmd_train(args) -> int:
     dataset = evaluation.load_pairs(args.pairs)
     table = _load_table(args, _pair_words(dataset))
-    kept = [p for p in dataset.pairs if p.hypo in table and p.hyper in table]
-    dropped = len(dataset.pairs) - len(kept)
-    if not kept:
-        raise ValueError("every pair has an out-of-vocabulary word")
+    positions, dropped = evaluation.resolve_pairs(dataset.pairs, table)[:2]
     if dropped:
         print(f"dropped {dropped} out-of-vocabulary pairs", file=sys.stderr)
-    folded = evaluation.make_folds(evaluation.WordPairDataset(pairs=kept),
-                                   args.folds, args.seed)
+    kept = evaluation.WordPairDataset(pairs=[dataset.pairs[n] for n in positions])
+    folded = evaluation.make_folds(kept, args.folds, args.seed)
     results = training.train(folded, table, _train_config(args, args.seed), args.op)
     os.makedirs(args.out_dir, exist_ok=True)
     for i, trained in enumerate(results):

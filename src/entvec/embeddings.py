@@ -219,8 +219,9 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                         break
                 elif len(buf) - pos > limit or eof:
                     break
-                chunk = fh.read(_CHUNK)
-                buf, base, pos, eof = buf[pos:] + chunk, base + pos, 0, not chunk
+                tail, base, buf = buf[pos:], base + pos, None  # free the old buffer before reading
+                buf = tail + fh.read(_CHUNK)
+                pos, eof = 0, len(buf) == len(tail)
             if sp < 0:
                 if len(buf) - pos > limit:
                     raise MalformedHeaderError(
@@ -271,6 +272,21 @@ def _looks_like_header(fields) -> bool:
     return True
 
 
+def _raise_at_bad_utf8_line(path, exc: UnicodeDecodeError, error) -> None:
+    """Raise ``error`` at the first line of ``path`` that is not UTF-8, else ``exc``.
+
+    Only a failed read pays for this: a reread with each bad byte as a lone
+    surrogate, which strict encoding rejects.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"not valid UTF-8 ({exc.reason})", line=lineno) from None
+    raise exc
+
+
 def load_text(path, keep=None) -> EmbeddingTable:
     """Read a whitespace-separated text embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else set(keep)
@@ -313,17 +329,7 @@ def load_text(path, keep=None) -> EmbeddingTable:
                     tokens.append(token)
                     rows.append(np.array(values, dtype=np.float32))
         except UnicodeDecodeError as exc:
-            # only this path pays to find the line: read again with each bad
-            # byte as a lone surrogate, which strict encoding rejects
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
-                for lineno, raw in enumerate(again, start=1):
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise TextFormatError(
-                            f"not valid UTF-8 ({exc.reason})", line=lineno
-                        ) from None
-            raise
+            _raise_at_bad_utf8_line(path, exc, TextFormatError)
     if not seen:
         raise TextFormatError("no embedding rows found", line=1)
     if expect_count is not None and len(seen) != expect_count:

@@ -2,7 +2,8 @@
 
 The dataset is a list of (hyponym, hypernym, label) pairs.  Pairs whose
 words are missing from the embedding table are dropped up front and
-counted.  Two metrics are reported:
+counted, by ``resolve_pairs`` for ``run_eval``, ``entvec train`` and
+``training.train`` alike.  Two metrics are reported:
 
   * 50% accuracy: scores are thresholded so that exactly half of the
     items are predicted positive (the datasets are label-balanced), and
@@ -17,7 +18,8 @@ counted.  Two metrics are reported:
 Cross-validation folds are built by shuffling, splitting into near-equal
 test sets, and then deleting from each training set every pair that
 shares a word with that fold's test vocabulary, so a mapped model can
-never memorize test words.
+never memorize test words.  ``run_eval`` builds them once, over the kept
+pairs, from ``k_folds`` and ``seed``.
 
 Method tokens understood by ``run_eval``:
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import interpret
 from .core import _pair_rows
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, _raise_at_bad_utf8_line
 
 __all__ = [
     "WordPair",
@@ -51,6 +53,7 @@ __all__ = [
     "EvalReport",
     "EvalRequest",
     "load_pairs",
+    "resolve_pairs",
     "fifty_percent_accuracy",
     "direction_accuracy",
     "make_folds",
@@ -131,18 +134,28 @@ def load_pairs(path) -> WordPairDataset:
                 except ValueError as exc:
                     raise DatasetFormatError(str(exc), lineno) from None
         except UnicodeDecodeError as exc:
-            # only this path pays to find the line: read again with each bad
-            # byte as a lone surrogate, which strict encoding rejects
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
-                for lineno, raw in enumerate(again, start=1):
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise DatasetFormatError(
-                            f"not valid UTF-8 ({exc.reason})", lineno
-                        ) from None
-            raise
+            _raise_at_bad_utf8_line(path, exc, DatasetFormatError)
     return WordPairDataset(pairs)
+
+
+def resolve_pairs(pairs, table: EmbeddingTable):
+    """The pairs whose two words are in ``table``, as rows of one word matrix.
+
+    Returns ``(kept, n_dropped, words, hi, gi, labels)``: the kept pairs'
+    positions in ``pairs``; the number dropped; the float64 vectors of their
+    distinct words, hyponyms then hypernyms, each at its first appearance;
+    each kept pair's hyponym and hypernym row in ``words``; and its label.
+    Raises ValueError when no pair is kept.
+    """
+    kept = [n for n, p in enumerate(pairs) if p.hypo in table and p.hyper in table]
+    if not kept:
+        raise ValueError("every pair has an out-of-vocabulary word")
+    rows = {}
+    hi = np.array([rows.setdefault(pairs[n].hypo, len(rows)) for n in kept], dtype=np.intp)
+    gi = np.array([rows.setdefault(pairs[n].hyper, len(rows)) for n in kept], dtype=np.intp)
+    words = np.stack([table.lookup(w) for w in rows])
+    labels = np.array([pairs[n].label for n in kept], dtype=np.int64)
+    return np.array(kept, dtype=np.intp), len(pairs) - len(kept), words, hi, gi, labels
 
 
 def fifty_percent_accuracy(scores, labels):
@@ -398,29 +411,19 @@ def run_eval(request: EvalRequest) -> EvalReport:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
 
-    table = request.embeddings
-    kept = [p for p in request.dataset.pairs if p.hypo in table and p.hyper in table]
-    n_dropped = len(request.dataset.pairs) - len(kept)
-    if not kept:
-        raise ValueError("every pair has an out-of-vocabulary word")
+    if request.dataset.folds is not None:
+        raise ValueError("dataset already has folds; run_eval builds them from k_folds and seed")
 
-    # each distinct word is looked up once, into row hi[n] / gi[n] of words
-    rows = {}
-    hi = np.array([rows.setdefault(p.hypo, len(rows)) for p in kept], dtype=np.intp)
-    gi = np.array([rows.setdefault(p.hyper, len(rows)) for p in kept], dtype=np.intp)
-    words = np.stack([table.lookup(w) for w in rows])
+    table = request.embeddings
+    pairs = request.dataset.pairs
+    kept, n_dropped, words, hi, gi, labels = resolve_pairs(pairs, table)
     # forward pairs, then the same pairs reversed: one scoring call per method
     both = (np.concatenate([hi, gi]), np.concatenate([gi, hi]))
-    labels = np.array([p.label for p in kept], dtype=np.int64)
     pos_mask = labels == 1
 
-    mapped = [m for m in methods if m in MAPPED_METHODS]
-    dataset = WordPairDataset(pairs=kept)
-    if mapped:
-        if request.dataset.folds is not None and n_dropped == 0:
-            dataset = WordPairDataset(pairs=kept, folds=request.dataset.folds)
-        else:
-            dataset = make_folds(dataset, request.k_folds, request.seed)
+    dataset = WordPairDataset(pairs=[pairs[n] for n in kept])
+    if any(m in MAPPED_METHODS for m in methods):
+        dataset = make_folds(dataset, request.k_folds, request.seed)
 
     def one(method):
         if method in MAPPED_METHODS:

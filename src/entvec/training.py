@@ -6,7 +6,8 @@ mapped through the same W, the chosen operator (or a plain difference sum)
 scores the mapped pair, and sigma(score - tau) is read as the probability
 that the pair is a true hyponym pair.  Training is plain mini-batch
 gradient descent with a constant step size and seeded shuffling, so runs
-are bitwise reproducible.
+are bitwise reproducible.  ``train`` resolves the pairs to rows once
+(``evaluation.resolve_pairs``); a fold skips its out-of-vocabulary pairs.
 
 Mapped vectors are always read as log-odds and scored by the operator
 terms of ``core``, saturation cap included; the duplicate/shift readings
@@ -27,7 +28,7 @@ import numpy as np
 from . import core
 from .core import sigmoid
 from .embeddings import EmbeddingTable
-from .evaluation import WordPairDataset
+from .evaluation import WordPairDataset, resolve_pairs
 from .interpret import OPERATOR_NAMES
 from .interpret import transform  # unused; perfbench/spans.py rebinds training.transform
 
@@ -220,22 +221,6 @@ def loss_and_grad(model: MappingModel, batch, l2: float = 0.0):
     return _loss_and_grad_mats(model, h_raw, g_raw, targets, l2)
 
 
-def _resolve(pairs, indices, table: EmbeddingTable):
-    kept_h, kept_g, kept_t = [], [], []
-    for i in indices:
-        pair = pairs[i]
-        hv = table.lookup(pair.hypo)
-        gv = table.lookup(pair.hyper)
-        if hv is None or gv is None:
-            continue
-        kept_h.append(hv)
-        kept_g.append(gv)
-        kept_t.append(pair.label)
-    if not kept_h:
-        return None
-    return np.stack(kept_h), np.stack(kept_g), np.array(kept_t, dtype=np.float64)
-
-
 def train(dataset: WordPairDataset, embeddings: EmbeddingTable,
           cfg: TrainConfig, op: str) -> list:
     """Train one mapping per fold; returns a TrainedFold per fold.
@@ -247,15 +232,23 @@ def train(dataset: WordPairDataset, embeddings: EmbeddingTable,
     op = _canon_op(op)
     if dataset.folds is None:
         raise ValueError("dataset has no folds; build them with make_folds first")
+    try:
+        kept, _, words, hi, gi, labels = resolve_pairs(dataset.pairs, embeddings)
+    except ValueError:  # no pair is in the vocabulary, so fold 0 has none either
+        kept = np.empty(0, dtype=np.intp)
+    row = np.full(len(dataset.pairs), -1, dtype=np.intp)  # each pair's kept row, or -1
+    row[kept] = np.arange(kept.size)
     d_in = embeddings.dim
     d_out = cfg.d_out if cfg.d_out is not None else d_in
     results = []
     for fold_idx, fold in enumerate(dataset.folds):
-        resolved = _resolve(dataset.pairs, fold.train, embeddings)
-        if resolved is None:
+        sel = row[np.asarray(fold.train, dtype=np.intp)]
+        sel = sel[sel >= 0]
+        if not sel.size:
             raise ValueError(f"fold {fold_idx} has no in-vocabulary training pairs")
-        h_all, g_all, t_all = resolved
-        n = h_all.shape[0]
+        h_all, g_all = words[hi[sel]], words[gi[sel]]
+        t_all = labels[sel].astype(np.float64)
+        n = sel.size
         rng = np.random.default_rng([cfg.seed, fold_idx])
         model = init_mapping(d_in, d_out, seed=int(rng.integers(2**31 - 1)), op=op)
         history = []

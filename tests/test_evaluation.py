@@ -19,6 +19,7 @@ from entvec.evaluation import (
     fifty_percent_accuracy,
     load_pairs,
     make_folds,
+    resolve_pairs,
     run_eval,
 )
 
@@ -394,6 +395,14 @@ class TestRunEval:
         with pytest.raises(ValueError, match="out-of-vocabulary"):
             run_eval(EvalRequest(dataset, table, methods=("dot",)))
 
+    def test_rejects_a_dataset_with_folds(self):
+        # folds always come from k_folds and seed, over the in-vocabulary pairs
+        dataset, table = toy_fixture()
+        folded = make_folds(dataset, 2, seed=0)
+        for methods in (("dot",), ("mapped-dif",)):
+            with pytest.raises(ValueError, match="already has folds"):
+                run_eval(EvalRequest(folded, table, methods=methods))
+
     def test_unknown_method(self):
         dataset, table = toy_fixture()
         with pytest.raises(ValueError, match="unknown method"):
@@ -427,6 +436,20 @@ class TestRunEval:
         assert row.method == "mapped-dif"
         assert row.n_scored == 12
         assert 0.0 <= row.acc50 <= 1.0 and 0.0 <= row.dir_acc <= 1.0
+
+
+class TestResolvePairs:
+    def test_rows_and_order(self):
+        table = EmbeddingTable(["a", "b", "c", "d"], np.arange(8, dtype=np.float32).reshape(4, 2))
+        pairs = [WordPair("b", "a", 1), WordPair("x", "a", 1), WordPair("c", "b", 0),
+                 WordPair("a", "d", 1), WordPair("d", "y", 0)]
+        kept, n_dropped, words, hi, gi, labels = resolve_pairs(pairs, table)
+        assert kept.tolist() == [0, 2, 3] and n_dropped == 2
+        # hyponyms first, then hypernyms, each word at its first appearance
+        assert words.dtype == np.float64
+        np.testing.assert_array_equal(words, [table.lookup(w) for w in "bcad"])
+        assert hi.tolist() == [0, 1, 2] and gi.tolist() == [2, 0, 3]
+        assert labels.tolist() == [1, 0, 1]
 
 
 class TestReportFormats:

@@ -17,6 +17,7 @@ import pytest
 from entvec import evaluation
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import OPERATOR_METHODS, EvalRequest, WordPair, WordPairDataset
+from entvec.training import TrainConfig
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +62,28 @@ def test_unsupervised_eval_reaches_its_layers(spans):
              "core.entail_factorized.melems_per_s", "evaluation.pairs_per_s")
     values = tracer.metrics(rates, 0.0)
     assert all(values[r] > 0 for r in rates), values
+
+
+def test_mapped_eval_reaches_its_layers(spans):
+    # the eval-mapped contract: folds built once over the kept pairs, one
+    # training.train per mapped method with the config as argument 2
+    rng = np.random.default_rng(5)
+    words = [f"w{k}" for k in range(24)]
+    table = EmbeddingTable(words, rng.normal(size=(24, 4)).astype(np.float32))
+    pairs = [WordPair(f"w{2 * k}", f"w{2 * k + 1}", k % 2) for k in range(12)]
+    pairs.append(WordPair("w0", "oov", 1))
+    request = EvalRequest(WordPairDataset(pairs), table, methods=("mapped-bwd", "mapped-dif"),
+                          k_folds=3, train_config=TrainConfig(epochs=2, batch_size=4))
+    tracer = spans.Tracer()
+    tracer.begin_round()
+    try:
+        evaluation.run_eval(request)
+    finally:
+        tracer.end_round()
+    reached = [span[0] for span in tracer.spans]
+    for name in ("evaluation.run_eval", "training.train", "training.raw_scores"):
+        assert name in reached, name
+    assert reached.count("evaluation.make_folds") == 1
+    assert reached.count("training.train") == 2
+    rate = "training.train.pair_epochs_per_s"
+    assert tracer.metrics((rate,), 0.0)[rate] > 0

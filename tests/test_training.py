@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,28 @@ class TestTrain:
         stranger = EmbeddingTable(["unrelated"], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="no in-vocabulary training pairs"):
             train(dataset, stranger, TrainConfig(epochs=1), op="dif")
+
+    def test_skips_oov_training_pairs(self):
+        # the table lacks one word, so one training pair of one fold is OOV;
+        # the models must be those trained on the folds cut by hand
+        dataset, table = separable_setup()
+        gone = dataset.pairs[dataset.folds[0].train[1]].hyper
+        tokens = [t for t in table.tokens if t != gone]
+        partial = EmbeddingTable(tokens, np.stack([table.lookup(t) for t in tokens]))
+        known = [p.hypo in partial and p.hyper in partial for p in dataset.pairs]
+        in_vocab = [tuple(i for i in fold.train if known[i]) for fold in dataset.folds]
+        assert [len(t) for t in in_vocab] == [len(dataset.folds[0].train) - 1,
+                                              len(dataset.folds[1].train)]
+        cut = WordPairDataset(dataset.pairs, [dataclasses.replace(fold, train=t)
+                                              for fold, t in zip(dataset.folds, in_vocab)])
+        cfg = TrainConfig(epochs=3, batch_size=4)
+        for op in ("fwd", "bwd", "fact", "dif"):
+            got = train(dataset, partial, cfg, op=op)
+            want = train(cut, partial, cfg, op=op)
+            for g, w, t in zip(got, want, in_vocab):
+                assert g.model.W.tobytes() == w.model.W.tobytes(), op
+                assert (g.model.tau, g.history) == (w.model.tau, w.history), op
+                assert g.n_train == w.n_train == len(t), op
 
     def test_history_length_and_count(self):
         dataset, table = separable_setup()
