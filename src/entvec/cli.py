@@ -190,10 +190,10 @@ def _cmd_graph(args) -> int:
     cfg = graph.SolverConfig(max_sweeps=args.max_sweeps, tol=args.tol,
                              damping=args.damping, clamp=args.clamp)
     result = graph.graph_infer(g, cfg)
-    # Python floats from tolist() format faster than numpy scalars; one write
-    sys.stdout.write("".join(
-        name + "\t" + "\t".join(["%.9g" % v for v in result.assignments[name].tolist()]) + "\n"
-        for name in g.node_names))
+    # one format per row, filled from that row's Python floats
+    row = "%s" + "\t%.9g" * (g.dim or 0) + "\n"
+    sys.stdout.writelines(row % (name, *vec.tolist())
+                          for name, vec in result.assignments.items())
     status = "converged" if result.converged else "did not converge"
     where = ""
     if result.largest_change is not None:

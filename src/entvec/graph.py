@@ -23,7 +23,10 @@ nodes of one level share no edge, and updating the levels in order, each
 as one array step, gives the node-by-node iterates up to floating-point
 rounding.  The cost of a sweep grows with the number of levels, the
 longest declaration-order path through the free nodes; a chain, with
-one node per level, is the worst case.
+one node per level, is the worst case.  Within a level, each kind of
+neighbour term is added to the nodes' priors by an in-order scatter:
+round r adds every node's r-th term of that kind, in edge order, so each
+node gets the same additions in the same order as one term at a time.
 
 Values are clamped to +/-``clamp`` after every update so the sigmoids
 and logs stay finite; a genuinely divergent negative-edge term (possible
@@ -33,8 +36,12 @@ declaration order that produced it.  Undamped sweeps can oscillate
 instead of converging on graphs with many sibling negative edges;
 ``damping`` (e.g. 0.3) restores convergence there.
 
-Graphs can be built programmatically or parsed from a line-oriented
-text format:
+A graph is stored as arrays: one float64 (nodes, dim) prior matrix with
+a name -> row dict, edges as ordered, de-duplicated (row, row) pairs, and
+the row of pinned values of each observed node.  ``graph_infer`` reads
+them as they are.  Graphs can be built programmatically or parsed from a
+line-oriented text format, in one pass that allocates the prior matrix
+once, at the first node, with a row for each ``node`` line:
 
     # comment
     node <name> <dim> [theta_1 ... theta_dim]   (theta defaults to zeros)
@@ -48,7 +55,9 @@ keep their prior value and the node is never updated, only read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -199,15 +208,23 @@ class SolverResult:
 
 
 class EntailmentGraph:
-    """Nodes with prior log-odds, positive/negative edges, and observations."""
+    """Nodes with prior log-odds, positive/negative edges, and observations.
+
+    Stored as arrays: one float64 ``(rows, dim)`` prior matrix whose first
+    rows, in declaration order, belong to the nodes (a name -> row dict
+    finds them), edges as ordered, de-duplicated ``(row, row)`` pairs, and
+    each observed node's row of pinned values.
+    """
 
     def __init__(self):
-        self._theta: dict[str, np.ndarray] = {}
+        self._row: dict[str, int] = {}
+        self._prior = np.zeros((0, 0))
+        self._reserve = 0  # rows to allocate at the first node; the parser sets it
         self._dim: int | None = None
         # dicts used as insertion-ordered sets so sweeps are deterministic
-        self._pos: dict[tuple[str, str], None] = {}
-        self._neg: dict[tuple[str, str], None] = {}
-        self._observed: dict[str, np.ndarray] = {}
+        self._pos: dict[tuple[int, int], None] = {}
+        self._neg: dict[tuple[int, int], None] = {}
+        self._observed: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int | None:
@@ -215,71 +232,88 @@ class EntailmentGraph:
 
     @property
     def node_names(self) -> list:
-        return list(self._theta)
+        return list(self._row)
+
+    def _named(self, edges: dict) -> list:
+        names = self.node_names
+        return [(names[a], names[b]) for a, b in edges]
 
     @property
     def pos_edges(self) -> list:
-        return list(self._pos)
+        return self._named(self._pos)
 
     @property
     def neg_edges(self) -> list:
-        return list(self._neg)
+        return self._named(self._neg)
 
     @property
     def observations(self) -> dict:
-        return {name: vec.copy() for name, vec in self._observed.items()}
+        names = self.node_names
+        return {names[row]: vec.copy() for row, vec in self._observed.items()}
 
     def theta(self, name: str) -> np.ndarray:
-        return self._theta[name].copy()
+        return self._prior[self._row[name]].copy()
 
     def add_node(self, name: str, dim: int | None = None, theta=None) -> None:
-        if name in self._theta:
+        """Add a node with ``theta`` (a vector of numbers) or ``dim`` zero priors."""
+        if name in self._row:
             raise GraphStructureError(f"duplicate node {name!r}")
         if theta is not None:
-            theta = np.array(theta, dtype=np.float64)  # a copy the caller cannot change
-            if theta.ndim != 1 or theta.size == 0:
+            if type(theta) is not list:  # a list, as the parser passes, is read as it is
+                theta = np.asarray(theta, dtype=np.float64)
+                theta = theta.tolist() if theta.ndim == 1 else []
+            if not theta:
                 raise GraphStructureError(f"node {name!r} theta must be a non-empty vector")
-            if dim is not None and theta.shape[0] != dim:
+            if dim is not None and len(theta) != dim:
                 raise GraphStructureError(
-                    f"node {name!r} declares dim {dim} but theta has {theta.shape[0]} entries"
+                    f"node {name!r} declares dim {dim} but theta has {len(theta)} entries"
                 )
-            if not np.all(np.isfinite(theta)):
+            # a sum with a non-finite term is non-finite; a finite vector
+            # can only overflow the sum, so only then is each value checked
+            if not math.isfinite(sum(theta)) and not all(map(math.isfinite, theta)):
                 raise GraphStructureError(f"node {name!r} theta contains non-finite values")
-            dim = theta.shape[0]
+            dim = len(theta)
         elif dim is None:
             raise GraphStructureError(f"node {name!r} needs a dim or a theta vector")
-        # checked before the zero priors are allocated, so that a dim no
+        # checked before the prior matrix is allocated, so that a dim no
         # memory holds is reported as a mismatch when the graph has one
         if self._dim is not None and dim != self._dim:
             raise GraphStructureError(
                 f"node {name!r} has dim {dim} but the graph uses dim {self._dim}"
             )
-        if theta is None:
+        row = len(self._row)
+        if row == self._prior.shape[0]:
             try:
-                theta = np.zeros(dim, dtype=np.float64)
+                grown = np.zeros((max(self._reserve, 2 * row, 1), dim))
             except (MemoryError, ValueError):
                 raise GraphStructureError(
                     f"node {name!r} dim {dim} cannot be allocated"
                 ) from None
+            if row:
+                grown[:row] = self._prior
+            self._prior = grown
+        if theta is not None:
+            self._prior[row] = theta
         self._dim = dim
-        self._theta[name] = theta
+        self._row[name] = row
 
-    def _check_edge(self, a: str, b: str) -> None:
-        for name in (a, b):
-            if name not in self._theta:
-                raise GraphStructureError(f"edge references unknown node {name!r}")
+    def _edge(self, a: str, b: str) -> tuple:
+        edge = self._row.get(a), self._row.get(b)
+        if None in edge:
+            raise GraphStructureError(
+                f"edge references unknown node {a if edge[0] is None else b!r}"
+            )
         if a == b:
             raise GraphStructureError(f"self-edge on node {a!r}")
+        return edge
 
     def add_entail(self, a: str, b: str) -> None:
         """Assert a entails b."""
-        self._check_edge(a, b)
-        self._pos[(a, b)] = None
+        self._pos[self._edge(a, b)] = None
 
     def add_not_entail(self, a: str, b: str) -> None:
         """Assert a does not entail b."""
-        self._check_edge(a, b)
-        self._neg[(a, b)] = None
+        self._neg[self._edge(a, b)] = None
 
     def observe(self, name: str, k: int, value: float) -> None:
         """Pin dimension ``k`` of ``name`` to a known log-odds value.
@@ -287,21 +321,22 @@ class EntailmentGraph:
         Unobserved dimensions of an observed node keep their prior; the
         whole node is excluded from inference.
         """
-        if name not in self._theta:
+        row = self._row.get(name)
+        if row is None:
             raise GraphStructureError(f"observation on unknown node {name!r}")
         if not 0 <= k < self._dim:
             raise GraphStructureError(
                 f"observation index {k} out of range for dim {self._dim}"
             )
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise GraphStructureError(f"observation on {name!r} must be finite, got {value}")
-        if name not in self._observed:
-            self._observed[name] = self._theta[name].copy()
-        self._observed[name][k] = value
+        if row not in self._observed:
+            self._observed[row] = self._prior[row].copy()
+        self._observed[row][k] = value
 
     def is_observed(self, name: str) -> bool:
-        return name in self._observed
+        return self._row.get(name) in self._observed
 
 
 # The update adds its terms to the prior in this order, each kind in edge
@@ -314,7 +349,7 @@ _KINDS = (
 )
 
 
-def _levels(n: int, free: np.ndarray, edges: dict) -> np.ndarray:
+def _levels(free: np.ndarray, edges: dict) -> np.ndarray:
     """Wavefront level of each free node (-1 for observed ones).
 
     A node's level is 1 + the highest level among its free neighbours
@@ -323,24 +358,65 @@ def _levels(n: int, free: np.ndarray, edges: dict) -> np.ndarray:
     """
     pairs = np.concatenate(list(edges.values()))
     pairs = pairs[free[pairs[:, 0]] & free[pairs[:, 1]]]
-    earlier = [[] for _ in range(n)]
-    for lo, hi in zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()):
-        earlier[hi].append(lo)
-    level = [-1] * n
-    for i in np.flatnonzero(free).tolist():
-        level[i] = 1 + max([level[j] for j in earlier[i]], default=-1)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    order = np.argsort(hi, kind="stable")
+    level = np.where(free, 0, -1).tolist()
+    # edges in order of their later end: when an edge is reached, every
+    # edge into its earlier end has been, so that end's level is final
+    for j, i in zip(lo[order].tolist(), hi[order].tolist()):
+        if level[j] >= level[i]:
+            level[i] = level[j] + 1
     return np.array(level, dtype=np.intp)
 
 
-def _schedule(n: int, free: np.ndarray, edges: dict) -> list:
-    """Per level: its rows, then (slot in level, neighbour row, target row)
-    index arrays for each of ``_KINDS``, or None where the level has none."""
-    level = _levels(n, free, edges)
+def _ranks(targets: np.ndarray) -> np.ndarray:
+    """For each position of ``targets``, how many earlier ones share its target."""
+    order = np.argsort(targets, kind="stable")
+    grouped = targets[order]
+    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size) - np.repeat(start, np.diff(np.r_[start, order.size]))
+    return ranks
+
+
+def _rounds(targets: np.ndarray, ranks: np.ndarray, size: int) -> list:
+    """Split the positions of ``targets``, rows of a ``size``-row block, into
+    rounds for ``_scatter``.
+
+    Round r holds, in position order, the positions of rank r (see
+    ``_ranks``): the r-th of every target that has one, so no round repeats
+    a target.  A round of every position is indexed by ``slice(None)``, and
+    so are its targets when they are every row in order.
+    """
+    if not ranks.any():
+        every_row = np.array_equal(targets, np.arange(size))
+        return [(slice(None) if every_row else targets, slice(None))]
+    by_round = np.argsort(ranks, kind="stable")
+    return [(targets[p], p) for p in np.split(by_round, np.cumsum(np.bincount(ranks))[:-1])]
+
+
+def _scatter(out: np.ndarray, rounds: list, values: np.ndarray) -> None:
+    """Add each of ``values`` to its target row of ``out``, given the
+    ``rounds`` of the targets.
+
+    Round r adds each target's r-th value, so every row of ``out`` gets its
+    values one at a time in position order: the same additions, in the same
+    order and with the same bits, as numpy's unbuffered ``ufunc.at``.
+    """
+    for rows, positions in rounds:
+        out[rows] += values[positions]
+
+
+def _schedule(free: np.ndarray, edges: dict) -> list:
+    """Per level: its rows, then (rounds of the slots in level, neighbour
+    row, target row) for each of ``_KINDS``, or None where the level has
+    none."""
+    level = _levels(free, edges)
     rows = np.flatnonzero(free)
     rows = rows[np.argsort(level[rows], kind="stable")]
     n_levels = int(level.max()) + 1 if rows.size else 0
     bounds = np.searchsorted(level[rows], np.arange(n_levels + 1))
-    slot = np.empty(n, dtype=np.intp)
+    slot = np.empty(free.size, dtype=np.intp)
     slot[rows] = np.arange(rows.size) - bounds[level[rows]]
     levels = [[rows[bounds[lv]:bounds[lv + 1]]] for lv in range(n_levels)]
     for kind, tgt_col, nbr_col in _KINDS:
@@ -350,9 +426,16 @@ def _schedule(n: int, free: np.ndarray, edges: dict) -> list:
         order = np.argsort(level[tgt], kind="stable")
         tgt, nbr = tgt[order], nbr[order]
         cuts = np.searchsorted(level[tgt], np.arange(n_levels + 1))
+        # a target's edges all sit in its level, so ranks over the whole
+        # kind are ranks within each level
+        ranks = _ranks(tgt)
         for lv, entry in enumerate(levels):
             lo, hi = cuts[lv], cuts[lv + 1]
-            entry.append((slot[tgt[lo:hi]], nbr[lo:hi], tgt[lo:hi]) if hi > lo else None)
+            if hi == lo:
+                entry.append(None)
+                continue
+            rounds = _rounds(slot[tgt[lo:hi]], ranks[lo:hi], entry[0].size)
+            entry.append((rounds, nbr[lo:hi], tgt[lo:hi]))
     return levels
 
 
@@ -362,19 +445,19 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
         cfg = SolverConfig()
     names = graph.node_names
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    prior = np.array(list(graph._theta.values()), dtype=np.float64).reshape(n, graph.dim or 0)
+    prior = graph._prior[:n]
     state = prior.copy()
     free = np.ones(n, dtype=bool)
-    for name, vec in graph._observed.items():
-        state[index[name]] = vec
-        free[index[name]] = False
+    for row, vec in graph._observed.items():
+        state[row] = vec
+        free[row] = False
     np.clip(state, -cfg.clamp, cfg.clamp, out=state)
     edges = {
-        kind: np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+        kind: np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
+                          count=2 * len(pairs)).reshape(-1, 2)
         for kind, pairs in (("pos", graph._pos), ("neg", graph._neg))
     }
-    levels = _schedule(n, free, edges)
+    levels = _schedule(free, edges)
 
     converged = False
     deltas = []
@@ -385,20 +468,20 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
                 new = prior[rows]
                 if pos_out is not None:
                     t, j, _ = pos_out
-                    np.add.at(new, t, -log_sigmoid(-state[j]))
+                    _scatter(new, t, -log_sigmoid(-state[j]))
                 if pos_in is not None:
                     t, j, _ = pos_in
-                    np.add.at(new, t, log_sigmoid(state[j]))
+                    _scatter(new, t, log_sigmoid(state[j]))
                 if neg_in is not None:
                     t, j, i = neg_in
                     x = state[j]
                     c = _neg_constants(x, state[i])
-                    np.add.at(new, t, np.log1p(-c * sigmoid(x)) - np.log1p(-c))
+                    _scatter(new, t, np.log1p(-c * sigmoid(x)) - np.log1p(-c))
                 if neg_out is not None:
                     t, j, i = neg_out
                     x = state[j]
                     c = _neg_constants(state[i], x)
-                    np.add.at(new, t, np.log1p(-c) - np.log1p(-c * sigmoid(-x)))
+                    _scatter(new, t, np.log1p(-c) - np.log1p(-c * sigmoid(-x)))
                 if cfg.damping > 0.0:
                     new = (1.0 - cfg.damping) * new + cfg.damping * state[rows]
                 state[rows] = np.clip(new, -cfg.clamp, cfg.clamp, out=new)
@@ -422,7 +505,7 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
         i, k = divmod(int(change.argmax()), change.shape[1])
         largest = (names[i], k)
     return SolverResult(
-        assignments={name: state[i].copy() for i, name in enumerate(names)},
+        assignments=dict(zip(names, state)),
         converged=converged,
         sweeps_used=len(deltas),
         final_delta=deltas[-1],
@@ -441,52 +524,54 @@ def _parse_float(text: str, what: str, line: int) -> float:
 def parse_graph(text: str) -> EntailmentGraph:
     """Build a graph from the line-oriented text format (see module docstring)."""
     graph = EntailmentGraph()
+    # the prior matrix is allocated once, at the first node, with a row for
+    # each line that starts with "node"; only indented node lines, or lines
+    # split by another line break than "\n", make it grow
+    graph._reserve = text.startswith("node") + text.count("\nnode")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not fields:
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
+        kind = fields[0]
         try:
             if kind == "node":
-                if len(args) < 2:
+                if len(fields) < 3:
                     raise GraphFormatError("node needs a name and a dim", lineno)
-                name = args[0]
+                name = fields[1]
                 try:
-                    dim = int(args[1])
+                    dim = int(fields[2])
                 except ValueError:
-                    raise GraphFormatError(f"bad dim {args[1]!r}", lineno) from None
+                    raise GraphFormatError(f"bad dim {fields[2]!r}", lineno) from None
                 if dim < 1:
                     raise GraphFormatError(f"dim must be positive, got {dim}", lineno)
-                thetas = args[2:]
-                if thetas and len(thetas) != dim:
-                    raise GraphFormatError(
-                        f"node {name!r} declares dim {dim} but lists {len(thetas)} priors",
-                        lineno,
-                    )
                 theta = None
-                if thetas:
+                if len(fields) > 3:
+                    if len(fields) - 3 != dim:
+                        raise GraphFormatError(
+                            f"node {name!r} declares dim {dim} but lists {len(fields) - 3} priors",
+                            lineno,
+                        )
                     try:
-                        theta = list(map(float, thetas))
+                        theta = list(map(float, fields[3:]))
                     except ValueError:
                         # parse field by field only to name the bad one
-                        theta = [_parse_float(t, "prior", lineno) for t in thetas]
-                graph.add_node(name, dim=dim, theta=theta)
-            elif kind in ("entail", "notentail"):
-                if len(args) != 2:
+                        theta = [_parse_float(t, "prior", lineno) for t in fields[3:]]
+                graph.add_node(name, dim, theta)
+            elif kind == "entail" or kind == "notentail":
+                if len(fields) != 3:
                     raise GraphFormatError(f"{kind} needs exactly two node names", lineno)
                 if kind == "entail":
-                    graph.add_entail(args[0], args[1])
+                    graph.add_entail(fields[1], fields[2])
                 else:
-                    graph.add_not_entail(args[0], args[1])
+                    graph.add_not_entail(fields[1], fields[2])
             elif kind == "observe":
-                if len(args) != 3:
+                if len(fields) != 4:
                     raise GraphFormatError("observe needs a name, an index and a value", lineno)
                 try:
-                    k = int(args[1])
+                    k = int(fields[2])
                 except ValueError:
-                    raise GraphFormatError(f"bad dimension index {args[1]!r}", lineno) from None
-                graph.observe(args[0], k, _parse_float(args[2], "log-odds value", lineno))
+                    raise GraphFormatError(f"bad dimension index {fields[2]!r}", lineno) from None
+                graph.observe(fields[1], k, _parse_float(fields[3], "log-odds value", lineno))
             else:
                 raise GraphFormatError(f"unknown directive {kind!r}", lineno)
         except GraphStructureError as exc:

@@ -255,6 +255,14 @@ class TestGraphCommand:
         assert values["b"] == pytest.approx(-0.48121182505960347, abs=1e-6)
         assert "converged after" in captured.err
 
+    def test_golden_taxonomy_output(self, capsys):
+        # a small planted taxonomy (perfbench/gen.py --workload graph-taxonomy
+        # --size small --seed 3) and its recorded stdout and stderr
+        assert main(["graph", "--file", str(DATA / "taxonomy_small.graph")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (DATA / "taxonomy_small_golden.tsv").read_text(encoding="utf-8")
+        assert captured.err == (DATA / "taxonomy_small_golden.err").read_text(encoding="utf-8")
+
     def test_non_convergence_still_exits_zero(self, capsys):
         assert main([
             "graph", "--file", CHAIN, "--max-sweeps", "2", "--tol", "1e-15",

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,9 @@ from entvec.graph import (
     SolverConfig,
     SolverNumericsError,
     _neg_constants,
+    _ranks,
+    _rounds,
+    _scatter,
     backward_infer,
     forward_infer,
     graph_infer,
@@ -118,6 +123,27 @@ def random_graph(seed, dim, root_first):
     for i in rng.choice(n, size=4, replace=False):
         g.observe(names[i], int(rng.integers(dim)), float(rng.normal(0.0, 3.0)))
     return g
+
+
+def graph_text(g):
+    """``g`` in the text format, every prior and observed value in ``repr``."""
+    lines = [f"node {name} {g.dim} " + " ".join(map(repr, g.theta(name).tolist()))
+             for name in g.node_names]
+    lines += [f"entail {a} {b}" for a, b in g.pos_edges]
+    lines += [f"notentail {a} {b}" for a, b in g.neg_edges]
+    lines += [f"observe {name} {k} {value!r}"
+              for name, vec in g.observations.items() for k, value in enumerate(vec.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def tree_text(n, dim, seed):
+    """A 4-ary tree of ``n`` nodes with seeded priors, children entailing parents."""
+    rng = np.random.default_rng(seed)
+    row = " ".join(["%.6f"] * dim)
+    lines = [f"node n{i} {dim} " + row % tuple(theta)
+             for i, theta in enumerate(rng.normal(0.0, 1.5, size=(n, dim)).tolist())]
+    lines += [f"entail n{i} n{(i - 1) // 4}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
 
 
 def chain_graph():
@@ -449,6 +475,74 @@ class TestGraphInfer:
             plain.assignments["a"], damped.assignments["a"], atol=1e-5
         )
 
+    def test_star_matches_node_by_node_sweeps(self):
+        # the hub comes first, so one level adds its 40 entailing
+        # neighbours' terms, in 40 rounds, plus negative edges both ways;
+        # leaves that lean known keep those terms small enough to converge
+        rng = np.random.default_rng(4)
+        g = EntailmentGraph()
+        g.add_node("hub", theta=rng.normal(0.0, 1.0, size=4))
+        leaves = [f"leaf{k}" for k in range(40)]
+        for leaf in leaves:
+            g.add_node(leaf, theta=rng.normal(3.0, 1.0, size=4))
+            g.add_entail(leaf, "hub")
+        for leaf in leaves[:3]:
+            g.add_not_entail("hub", leaf)
+        for leaf in leaves[-3:]:
+            g.add_not_entail(leaf, "hub")
+        cfg = SolverConfig(max_sweeps=300)
+        state, deltas, _ = sequential_infer(g, cfg)
+        result = graph_infer(g, cfg)
+        assert result.converged
+        assert result.sweeps_used == len(deltas)
+        for name in g.node_names:
+            np.testing.assert_allclose(
+                result.assignments[name], state[name], rtol=0.0, atol=1e-12
+            )
+
+
+class TestScatter:
+    @pytest.mark.parametrize("dim", [1, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_add_at(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        repeats = rng.integers(1, 51, size=25)
+        targets = rng.permutation(np.repeat(np.arange(25), repeats))
+        special = np.array([-0.0, 0.0, 5e-324, -3e-310, 700.0, -700.0])
+
+        def sample(rows):
+            # rows of -0.0, of subnormals and of +/-700 among normal rows
+            # sprinkled with the same values, so sums depend on their order
+            values = rng.normal(0.0, 1.0, size=(rows, dim))
+            pick = rng.random(values.shape) < 0.3
+            values[pick] = rng.choice(special, size=int(pick.sum()))
+            values[0::5] = -0.0
+            values[1::5] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-320], size=values[1::5].shape)
+            values[2::5] = rng.choice([700.0, -700.0], size=values[2::5].shape)
+            return values
+
+        values = sample(targets.size)
+        out = sample(25)
+        expected = out.copy()
+        np.add.at(expected, targets, values)
+        rounds = _rounds(targets, _ranks(targets), 25)
+        assert len(rounds) == repeats.max()
+        for rows, _ in rounds:
+            assert np.unique(rows).size == rows.size
+        _scatter(out, rounds, values)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_distinct_targets_are_one_round(self):
+        targets = np.array([3, 0, 2])
+        rounds = _rounds(targets, _ranks(targets), 4)
+        ((rows, positions),) = rounds
+        assert rows is targets and positions == slice(None)
+        out = np.zeros((4, 2))
+        _scatter(out, rounds, np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(out, [[2, 3], [0, 0], [4, 5], [0, 1]])
+        ((rows, positions),) = _rounds(np.arange(4), np.zeros(4, dtype=np.intp), 4)
+        assert rows == positions == slice(None)
+
 
 class TestParseGraph:
     def test_round_trip_structure(self):
@@ -499,6 +593,56 @@ class TestParseGraph:
             parse_graph(text)
         assert exc_info.value.line == lineno
         assert f"line {lineno}:" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "text, lineno, fragment",
+        [
+            ("node a 2 0.5 inf\nentail a b\n", 1, "non-finite"),
+            ("node a 1\nentail a b\nnode b 1 nan\n", 2, "unknown node 'b'"),
+            ("node x 100000000000000000\nobserve x 0 nan\n", 1, "cannot be allocated"),
+        ],
+    )
+    def test_the_earlier_of_two_faults_is_reported(self, text, lineno, fragment):
+        with pytest.raises(GraphFormatError, match=fragment) as exc_info:
+            parse_graph(text)
+        assert exc_info.value.line == lineno
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("root_first", [True, False])
+    def test_text_gives_the_programmatic_graph(self, seed, dim, root_first):
+        built = random_graph(seed, dim, root_first)
+        parsed = parse_graph(graph_text(built))
+        assert parsed.node_names == built.node_names
+        for name in built.node_names:
+            assert parsed.theta(name).tobytes() == built.theta(name).tobytes()
+        assert parsed.pos_edges == built.pos_edges
+        assert parsed.neg_edges == built.neg_edges
+        want = built.observations
+        got = parsed.observations
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+        cfg = SolverConfig(max_sweeps=50)
+        solved, reference = graph_infer(parsed, cfg), graph_infer(built, cfg)
+        assert solved.deltas == reference.deltas
+        for name in built.node_names:
+            assert solved.assignments[name].tobytes() == reference.assignments[name].tobytes()
+
+    def test_parser_memory(self):
+        # 20 000 nodes at dim 30 (a 4.8 MB prior matrix) from 6.4 MB of
+        # text; the array store holds one matrix, allocated once
+        text = tree_text(20_000, 30, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.node_names) == 20_000 and len(g.pos_edges) == 19_999
+        assert peak <= 21.1e6
+        assert retained <= 12.4e6
 
     def test_parse_graph_file(self, tmp_path):
         path = tmp_path / "toy.graph"
