@@ -15,10 +15,10 @@ ENTVEC_EMBEDDINGS environment variable.
 
 Loading order: a missing ``--embeddings`` is reported first, before any
 file is read.  ``eval`` and ``train`` then read the pairs file and
-``score`` takes its two words; only after that is the embedding file
-read, keeping just the rows of those words (``keep=`` of the loaders).
-So when both the pairs file and the embedding file are bad, the pairs
-file's error is the one reported.
+``score`` checks its reading (``--interp``, ``--shift``) and takes its two
+words; only after that is the embedding file read, keeping just the rows
+of those words (``keep=`` of the loaders).  So when both the pairs file
+and the embedding file are bad, the pairs file's error is the one reported.
 """
 
 from __future__ import annotations
@@ -117,26 +117,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_table(args, keep):
-    """The embedding rows of the tokens in ``keep``; the others are scanned, not stored."""
-    return load_embeddings(args.embeddings, fmt=args.format, keep=keep)
-
-
 def _pair_words(dataset) -> set:
     return {word for p in dataset.pairs for word in (p.hypo, p.hyper)}
 
 
 def _cmd_score(args) -> int:
-    table = _load_table(args, {args.hypo, args.hyper})
+    interp = interpret.Interpretation(args.interp, args.shift)
+    table = load_embeddings(args.embeddings, fmt=args.format, keep={args.hypo, args.hyper})
     vecs = []
     for word in (args.hypo, args.hyper):
         vec = table.lookup(word)
         if vec is None:
             raise ValueError(f"word {word!r} is not in the embeddings")
         vecs.append(vec)
-    interp_obj = interpret.Interpretation(args.interp, args.shift) \
-        if args.interp == "unkdup" else interpret.Interpretation(args.interp)
-    print(interpret.pair_score(vecs[0], vecs[1], interp_obj, args.op))
+    print(interpret.pair_score(vecs[0], vecs[1], interp, args.op))
     return 0
 
 
@@ -154,7 +148,7 @@ def _cmd_eval(args) -> int:
             f"methods {mapped} need training; rerun with --train"
         )
     dataset = evaluation.load_pairs(args.pairs)
-    table = _load_table(args, _pair_words(dataset))
+    table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     request = evaluation.EvalRequest(
         dataset=dataset, embeddings=table, methods=methods, shift=args.shift,
         k_folds=args.folds, seed=args.seed, threads=args.threads,
@@ -168,7 +162,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = evaluation.load_pairs(args.pairs)
-    table = _load_table(args, _pair_words(dataset))
+    table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     positions, dropped = evaluation.resolve_pairs(dataset.pairs, table)[:2]
     if dropped:
         print(f"dropped {dropped} out-of-vocabulary pairs", file=sys.stderr)

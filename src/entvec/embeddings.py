@@ -143,10 +143,6 @@ class EmbeddingTable:
         return self._matrix.shape[1]
 
     @property
-    def vocab(self) -> dict:
-        return dict(self._vocab)
-
-    @property
     def tokens(self) -> list:
         return list(self._vocab)
 

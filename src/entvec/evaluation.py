@@ -378,9 +378,8 @@ def _unsupervised_scores(method, words, pairs, shift):
     """Scores of an operator or baseline method on the rows ``pairs`` of ``words``."""
     if method not in OPERATOR_METHODS:
         return baseline_score(method, words, words, pairs=pairs)
-    interp_obj, op = OPERATOR_METHODS[method]
-    if interp_obj.kind == "unkdup" and shift != interp_obj.shift:
-        interp_obj = interpret.Interpretation("unkdup", shift)
+    reading, op = OPERATOR_METHODS[method]
+    interp_obj = interpret.Interpretation(reading.kind, shift)
     return interpret.pair_score(words, words, interp_obj, op, pairs=pairs)
 
 

@@ -258,6 +258,8 @@ class EntailmentGraph:
         """Add a node with ``theta`` (a vector of numbers) or ``dim`` zero priors."""
         if name in self._row:
             raise GraphStructureError(f"duplicate node {name!r}")
+        if dim is not None and dim < 1:
+            raise GraphStructureError(f"dim must be positive, got {dim}")
         if theta is not None:
             if type(theta) is not list:  # a list, as the parser passes, is read as it is
                 theta = np.asarray(theta, dtype=np.float64)
@@ -542,8 +544,6 @@ def parse_graph(text: str) -> EntailmentGraph:
                     dim = int(fields[2])
                 except ValueError:
                     raise GraphFormatError(f"bad dim {fields[2]!r}", lineno) from None
-                if dim < 1:
-                    raise GraphFormatError(f"dim must be positive, got {dim}", lineno)
                 theta = None
                 if len(fields) > 3:
                     if len(fields) - 3 != dim:
@@ -588,4 +588,5 @@ def parse_graph_file(path) -> EntailmentGraph:
         # the bad byte is on the last line of the text up to and including it
         line = len((data[:exc.start] + b"?").decode("utf-8").splitlines())
         raise GraphFormatError(f"not valid UTF-8 ({exc.reason})", line) from None
+    del data  # the parse holds the text; the bytes would double the file
     return parse_graph(text)

@@ -2,27 +2,29 @@
 
 Raw embedding coordinates are real numbers, so three progressively more
 faithful readings map them into the known/unknown log-odds space the
-entailment operators expect:
+entailment operators expect.  A reading is a list of copies of the raw
+vector, concatenated in order: a copy is ``sign * raw - offset``, and
+``Interpretation.copies`` lists each copy's ``(sign, offset)``:
 
-  * log-odds: use the raw vector directly as feature log-odds.
-  * dup:      each coordinate states whether its feature is known-true or
-              known-false, so the vector is split into a positive copy and
-              a negated copy, concatenated (dimension doubles).
-  * unk dup:  like dup, but both copies are shifted down by a constant so
-              values near zero keep probability mass on "unknown":
-              per coordinate v the unknown mass is
-              1 - sigma(v - shift) - sigma(-v - shift) > 0, maximal at v = 0.
+  logodds  (+1, 0)             the raw vector is the feature log-odds
+  dup      (+1, 0), (-1, 0)    each coordinate says its feature is known
+                               true or known false (dimension 2d)
+  unkdup   (+1, s), (-1, s)    dup shifted down by s, so a coordinate v keeps
+                               1 - sigma(v - s) - sigma(-v - s) > 0 of its
+                               mass on "unknown", most at v = 0
 
 This module also scores a word-in-context instance: a hidden vector that
 unifies the features of a middle word and a context word is inferred by
-backward inference, and the score is how well that hidden vector entails
-both.  Comparing the gradient of that score with the skip-gram/negative-
-sampling gradient log sigma(m . c) is what motivates the readings, and
-``gradient_grid`` reproduces that comparison on 1-d instances.
+backward inference, one hidden copy per copy of the reading, and the score
+is how well that hidden vector entails both.  Comparing the gradient of
+that score with the skip-gram/negative-sampling gradient log sigma(m . c)
+is what motivates the readings, and ``gradient_grid`` reproduces that
+comparison on 1-d instances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +79,19 @@ class Interpretation:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown interpretation {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "unkdup" and not self.shift > 0:
-            raise ValueError(f"unkdup shift must be positive, got {self.shift}")
+        if self.kind == "unkdup":
+            if not math.isfinite(self.shift):
+                raise ValueError(f"unkdup shift must be finite, got {self.shift}")
+            if not self.shift > 0:
+                raise ValueError(f"unkdup shift must be positive, got {self.shift}")
+
+    @property
+    def copies(self) -> tuple:
+        """The ``(sign, offset)`` of each copy; a copy is ``sign * raw - offset``."""
+        if self.kind == "logodds":
+            return ((1, 0),)
+        offset = self.shift if self.kind == "unkdup" else 0
+        return ((1, offset), (-1, offset))
 
 
 LOG_ODDS = Interpretation("logodds")
@@ -89,17 +102,19 @@ UNK_DUP = Interpretation("unkdup")
 def transform(raw, interp: Interpretation) -> np.ndarray:
     """Map a raw embedding (shape (..., d)) into entailment log-odds space.
 
-    logodds keeps the vector; dup returns [raw; -raw]; unkdup returns
-    [raw - shift; -raw - shift].  The dup/unkdup result has dimension 2d.
+    The result concatenates the copies of ``interp`` along the last axis:
+    logodds keeps the vector, dup gives [raw; -raw] and unkdup
+    [raw - shift; -raw - shift], of dimension 2d.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw vector contains non-finite values")
-    if interp.kind == "logodds":
-        return raw.copy()
-    if interp.kind == "dup":
-        return np.concatenate([raw, -raw], axis=-1)
-    return np.concatenate([raw - interp.shift, -raw - interp.shift], axis=-1)
+    # negate and concatenate, then shift in place: the offsets make no temporaries
+    out = np.concatenate([raw if sign > 0 else -raw for sign, _ in interp.copies], axis=-1)
+    offsets = [offset for _, offset in interp.copies]
+    if any(offsets):
+        out -= np.repeat(offsets, raw.shape[-1])
+    return out
 
 
 def unknown_mass(values, shift: float = 1.0):
@@ -155,6 +170,19 @@ class ContextModelInputs:
         return self.theta_c - log_sigmoid(-self.x_c)
 
 
+def _hidden_copies(inputs: ContextModelInputs, interp: Interpretation):
+    """(sign, middle copy, context copy, hidden copy) for each copy of ``interp``.
+
+    The middle copy is sign * x_m - offset, the context copy sign * x_c', and
+    backward inference puts the hidden copy at context - log sigma(-middle).
+    """
+    xcp = inputs.x_c_prime
+    for sign, offset in interp.copies:
+        m = sign * inputs.x_m - offset
+        c = sign * xcp
+        yield sign, m, c, c - log_sigmoid(-m)
+
+
 def unify_backward(inputs: ContextModelInputs, interp: Interpretation):
     """Infer the hidden vector(s) entailing both middle and context word.
 
@@ -163,37 +191,19 @@ def unify_backward(inputs: ContextModelInputs, interp: Interpretation):
     -log sigma(-.) evidence from each entailed vector on top of the
     combined context term.
     """
-    xcp = inputs.x_c_prime
-    m = inputs.x_m
-    if interp.kind == "logodds":
-        return xcp - log_sigmoid(-m), None
-    if interp.kind == "dup":
-        y_plus = xcp - log_sigmoid(-m)
-        y_minus = -xcp - log_sigmoid(m)
-        return y_plus, y_minus
-    s = interp.shift
-    y_plus = xcp - log_sigmoid(-(m - s))
-    y_minus = -xcp - log_sigmoid(-(-m - s))
-    return y_plus, y_minus
+    ys = [y for *_, y in _hidden_copies(inputs, interp)]
+    return ys[0], ys[1] if len(ys) > 1 else None
 
 
 def context_score(inputs: ContextModelInputs, interp: Interpretation) -> float:
     """Log-probability that the unified hidden vector entails both words.
 
-    Each hidden copy Y contributes entail_backward(Y, X_m-part) plus the
-    combined context/prior term -sigma(-Y) . X_c'-part.
+    Each hidden copy Y contributes entail_backward(Y, middle copy) plus the
+    combined context/prior term -sigma(-Y) . context copy.
     """
-    xcp = inputs.x_c_prime
-    m = inputs.x_m
-    y_plus, y_minus = unify_backward(inputs, interp)
-    if interp.kind == "logodds":
-        return entail_backward(y_plus, m) + float(np.sum(-sigmoid(-y_plus) * xcp))
-    if interp.kind == "dup":
-        m_plus, m_minus = m, -m
-    else:
-        m_plus, m_minus = m - interp.shift, -m - interp.shift
-    score = entail_backward(y_plus, m_plus) + float(np.sum(-sigmoid(-y_plus) * xcp))
-    score += entail_backward(y_minus, m_minus) + float(np.sum(-sigmoid(-y_minus) * (-xcp)))
+    score = -0.0  # the additive identity: the first term keeps its bits
+    for _, m, c, y in _hidden_copies(inputs, interp):
+        score += entail_backward(y, m) + float(np.sum(-sigmoid(-y) * c))
     return score
 
 
@@ -205,25 +215,13 @@ def _part_grad(y: np.ndarray, middle_gate: np.ndarray) -> np.ndarray:
 
 def context_score_grad_m(inputs: ContextModelInputs, interp: Interpretation) -> np.ndarray:
     """Analytic gradient of ``context_score`` with respect to x_m (elementwise)."""
-    m = inputs.x_m
-    y_plus, y_minus = unify_backward(inputs, interp)
-    if interp.kind == "logodds":
-        return _part_grad(y_plus, sigmoid(m))
-    if interp.kind == "dup":
-        gate_plus, gate_minus = sigmoid(m), -sigmoid(-m)
-    else:
-        s = interp.shift
-        gate_plus, gate_minus = sigmoid(m - s), -sigmoid(-m - s)
-    return _part_grad(y_plus, gate_plus) + _part_grad(y_minus, gate_minus)
+    grad = -0.0  # as in context_score
+    for sign, m, _, y in _hidden_copies(inputs, interp):
+        grad = grad + _part_grad(y, sign * sigmoid(m))
+    return grad
 
 
 GRID_MODELS = ("word2vec", "logodds-bwd", "dup-bwd", "unkdup-bwd")
-
-_MODEL_INTERPS = {
-    "logodds-bwd": LOG_ODDS,
-    "dup-bwd": DUP,
-    "unkdup-bwd": UNK_DUP,
-}
 
 
 @dataclass(frozen=True)
@@ -256,8 +254,8 @@ def gradient_grid(model: str, m_range, c_range, shift: float = 1.0) -> GradientG
     """Training-gradient grid for the skip-gram score or one of its readings.
 
     For word2vec the score on a 1-d instance is log sigma(m * c), whose
-    middle-word gradient is sigma(-m c) * c.  For the interpretation
-    models the score is ``context_score`` with theta_c = 0 and the
+    middle-word gradient is sigma(-m c) * c.  For a ``<reading>-bwd`` model
+    the score is ``context_score`` under that reading with theta_c = 0 and the
     gradient is analytic (cross-checked against finite differences in the
     tests).  Grid rows vary m, columns vary c.
     """
@@ -269,9 +267,7 @@ def gradient_grid(model: str, m_range, c_range, shift: float = 1.0) -> GradientG
     if model == "word2vec":
         grad = sigmoid(-mm * cc) * cc
     else:
-        interp = _MODEL_INTERPS[model]
-        if interp.kind == "unkdup":
-            interp = Interpretation("unkdup", shift)
+        interp = Interpretation(model.removesuffix("-bwd"), shift)
         inputs = ContextModelInputs(mm, cc, np.zeros_like(mm))
         grad = context_score_grad_m(inputs, interp)
     return GradientGrid(model=model, m=m, c=c, grad=grad)

@@ -61,6 +61,22 @@ class TestScoreCommand:
         expect = pair_score(table.lookup("puppy"), table.lookup("dog"), UNK_DUP, "fact")
         assert out == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("shift", ["inf", "nan", "0"])
+    def test_bad_unkdup_shift_is_data_error(self, capsys, shift):
+        assert main(["score", "--embeddings", VECTORS, "--interp", "unkdup",
+                     "--shift", shift, "puppy", "dog"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entvec: error: unkdup shift must be ")
+        assert "non-finite" not in captured.err
+
+    def test_shift_is_ignored_outside_unkdup(self, capsys):
+        assert main(["score", "--embeddings", VECTORS, "--interp", "dup",
+                     "--shift", "inf", "puppy", "dog"]) == 0
+        with_inf = capsys.readouterr().out
+        assert main(["score", "--embeddings", VECTORS, "--interp", "dup", "puppy", "dog"]) == 0
+        assert capsys.readouterr().out == with_inf
+
     def test_env_var_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv(EMBEDDINGS_ENV_VAR, VECTORS)
         assert main(["score", "puppy", "dog"]) == 0
@@ -317,3 +333,11 @@ class TestGradGridCommand:
 
     def test_bad_step_is_data_error(self, capsys):
         assert main(["gradgrid", "--model", "word2vec", "--range", "1", "0", "1"]) == 2
+
+    @pytest.mark.parametrize("shift", ["inf", "-inf", "nan"])
+    def test_non_finite_unkdup_shift_is_data_error(self, capsys, shift):
+        assert main(["gradgrid", "--model", "unkdup-bwd", "--range", "-1", "1", "1",
+                     f"--shift={shift}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"entvec: error: unkdup shift must be finite, got {float(shift)}\n"

@@ -287,6 +287,13 @@ class TestEntailmentGraph:
         with pytest.raises(GraphStructureError):
             g.add_node("b", dim=3)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dim_must_be_positive(self, dim):
+        g = EntailmentGraph()
+        with pytest.raises(GraphStructureError, match=f"dim must be positive, got {dim}"):
+            g.add_node("a", dim=dim)
+        assert g.node_names == [] and g.dim is None
+
     def test_theta_dim_conflict(self):
         g = EntailmentGraph()
         with pytest.raises(GraphStructureError):
@@ -643,6 +650,21 @@ class TestParseGraph:
         assert len(g.node_names) == 20_000 and len(g.pos_edges) == 19_999
         assert peak <= 21.1e6
         assert retained <= 12.4e6
+
+    def test_parse_graph_file_memory(self, tmp_path):
+        # the same 6.4 MB text read from a file: the file's bytes are
+        # dropped once decoded, so they do not add to the parse's peak
+        path = tmp_path / "tree.graph"
+        path.write_text(tree_text(20_000, 30, seed=0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse_graph_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.node_names) == 20_000
+        assert peak <= 26e6
 
     def test_parse_graph_file(self, tmp_path):
         path = tmp_path / "toy.graph"

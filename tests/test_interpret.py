@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from entvec import interpret
-from entvec.core import entail_backward, entail_factorized, sigmoid
+from entvec.core import (
+    entail_backward,
+    entail_factorized,
+    entail_forward,
+    log_sigmoid,
+    sigmoid,
+)
 from entvec.interpret import (
     DUP,
     LOG_ODDS,
@@ -32,6 +38,26 @@ class TestInterpretation:
     def test_rejects_bad_shift(self):
         with pytest.raises(ValueError):
             Interpretation("unkdup", shift=0.0)
+
+    @pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_shift(self, shift):
+        with pytest.raises(ValueError, match="unkdup shift must be finite"):
+            Interpretation("unkdup", shift)
+
+    def test_shift_is_not_checked_where_it_is_unused(self):
+        assert Interpretation("dup", np.inf).copies == DUP.copies
+
+    def test_copies(self):
+        assert LOG_ODDS.copies == ((1, 0),)
+        assert DUP.copies == ((1, 0), (-1, 0))
+        assert UNK_DUP.copies == ((1, 1.0), (-1, 1.0))
+        assert Interpretation("unkdup", 0.5).copies == ((1, 0.5), (-1, 0.5))
+
+    def test_copies_are_derived(self):
+        with pytest.raises(AttributeError):
+            DUP.copies = ((1, 0),)
+        with pytest.raises(TypeError):
+            Interpretation("dup", copies=((1, 0),))
 
 
 class TestTransform:
@@ -279,3 +305,118 @@ class TestGradientGrid:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             gradient_grid("word2vec", (0, 1, -1.0), (0, 1, 1))
+
+
+# The per-reading expressions the copy-list code replaced, kept as the
+# reference it must match bit for bit.
+def ref_transform(raw, interp):
+    raw = np.asarray(raw, dtype=np.float64)
+    if interp.kind == "logodds":
+        return raw.copy()
+    if interp.kind == "dup":
+        return np.concatenate([raw, -raw], axis=-1)
+    return np.concatenate([raw - interp.shift, -raw - interp.shift], axis=-1)
+
+
+def ref_unify_backward(inputs, interp):
+    xcp, m = inputs.x_c_prime, inputs.x_m
+    if interp.kind == "logodds":
+        return xcp - log_sigmoid(-m), None
+    if interp.kind == "dup":
+        return xcp - log_sigmoid(-m), -xcp - log_sigmoid(m)
+    s = interp.shift
+    return xcp - log_sigmoid(-(m - s)), -xcp - log_sigmoid(-(-m - s))
+
+
+def ref_context_score(inputs, interp):
+    xcp, m = inputs.x_c_prime, inputs.x_m
+    y_plus, y_minus = ref_unify_backward(inputs, interp)
+    if interp.kind == "logodds":
+        return entail_backward(y_plus, m) + float(np.sum(-sigmoid(-y_plus) * xcp))
+    if interp.kind == "dup":
+        m_plus, m_minus = m, -m
+    else:
+        m_plus, m_minus = m - interp.shift, -m - interp.shift
+    score = entail_backward(y_plus, m_plus) + float(np.sum(-sigmoid(-y_plus) * xcp))
+    score += entail_backward(y_minus, m_minus) + float(np.sum(-sigmoid(-y_minus) * (-xcp)))
+    return score
+
+
+def ref_grad_m(inputs, interp):
+    def part(y, gate):
+        return gate * sigmoid(-y) * (sigmoid(y) * y - 1.0)
+
+    m = inputs.x_m
+    y_plus, y_minus = ref_unify_backward(inputs, interp)
+    if interp.kind == "logodds":
+        return part(y_plus, sigmoid(m))
+    if interp.kind == "dup":
+        gate_plus, gate_minus = sigmoid(m), -sigmoid(-m)
+    else:
+        s = interp.shift
+        gate_plus, gate_minus = sigmoid(m - s), -sigmoid(-m - s)
+    return part(y_plus, gate_plus) + part(y_minus, gate_minus)
+
+
+def ref_pair_score(hypo_raw, hyper_raw, interp, op, pairs=None):
+    y, x = ref_transform(hypo_raw, interp), ref_transform(hyper_raw, interp)
+    if op == "fwd":
+        return entail_forward(x, y, pairs=None if pairs is None else pairs[::-1])
+    if op == "bwd":
+        return entail_backward(y, x, pairs=pairs)
+    return entail_factorized(y, x, pairs=pairs)
+
+
+def same_bits(got, want):
+    if want is None or isinstance(want, float):
+        return type(got) is type(want) and (want is None or np.float64(got).tobytes()
+                                            == np.float64(want).tobytes())
+    return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+class TestCopiesMatchPerKindReference:
+    # signed zeros, saturating +-30, a subnormal-adjacent 1e-300, plain values
+    SPECIAL = np.array([0.0, -0.0, 30.0, -30.0, 1e-300, -1e-300, 1.0, -0.5])
+
+    @classmethod
+    def raw(cls):
+        rng = np.random.default_rng(11)
+        rows = [np.roll(cls.SPECIAL, k) for k in range(4)]
+        return np.concatenate([np.array(rows), 3.0 * rng.normal(size=(4, 8))])
+
+    @pytest.mark.parametrize("interp", sorted(INTERPS))
+    def test_transform(self, interp):
+        raw = self.raw()
+        for arg in (raw, raw[1], raw[:, :1]):
+            assert same_bits(transform(arg, INTERPS[interp]), ref_transform(arg, INTERPS[interp]))
+
+    @pytest.mark.parametrize("interp", sorted(INTERPS))
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact"])
+    def test_pair_score(self, interp, op):
+        raw, it = self.raw(), INTERPS[interp]
+        assert same_bits(pair_score(raw[:4], raw[4:], it, op),
+                         ref_pair_score(raw[:4], raw[4:], it, op))
+        pairs = (np.array([0, 1, 2, 7, 5, 3]), np.array([1, 0, 6, 7, 4, 2]))
+        assert same_bits(pair_score(raw, raw, it, op, pairs=pairs),
+                         ref_pair_score(raw, raw, it, op, pairs=pairs))
+
+    @pytest.mark.parametrize("interp", sorted(INTERPS))
+    def test_context_model(self, interp):
+        raw, it = self.raw(), INTERPS[interp]
+        for k in range(4):
+            inputs = ContextModelInputs(raw[k], raw[k + 4], 0.1 * raw[(k + 2) % 8])
+            for got, want in zip(unify_backward(inputs, it), ref_unify_backward(inputs, it)):
+                assert same_bits(got, want)
+            assert same_bits(context_score(inputs, it), ref_context_score(inputs, it))
+            assert same_bits(context_score_grad_m(inputs, it), ref_grad_m(inputs, it))
+
+    @pytest.mark.parametrize("model", ["logodds-bwd", "dup-bwd", "unkdup-bwd"])
+    @pytest.mark.parametrize("shift", [1.0, 0.5])
+    def test_gradient_grid(self, model, shift):
+        grid = gradient_grid(model, (-6.0, 6.0, 0.5), (-6.0, 6.0, 0.5), shift=shift)
+        mm, cc = np.meshgrid(grid.m, grid.c, indexing="ij")
+        kind = model.removesuffix("-bwd")
+        it = Interpretation(kind, shift) if kind == "unkdup" else Interpretation(kind)
+        want = ref_grad_m(ContextModelInputs(mm, cc, np.zeros_like(mm)), it)
+        assert same_bits(grid.grad, want)
