@@ -13,12 +13,14 @@ logs and the human-readable table go to stderr.  Exit codes: 0 success,
 1 usage error, 2 data/runtime error.  ``--embeddings`` falls back to the
 ENTVEC_EMBEDDINGS environment variable.
 
-Loading order: a missing ``--embeddings`` is reported first, before any
-file is read.  ``eval`` and ``train`` then read the pairs file and
-``score`` checks its reading (``--interp``, ``--shift``) and takes its two
-words; only after that is the embedding file read, keeping just the rows
-of those words (``keep=`` of the loaders).  So when both the pairs file
-and the embedding file are bad, the pairs file's error is the one reported.
+Loading order: a missing ``--embeddings`` is reported first.  Then, before
+any file is read, ``eval`` checks its methods and reading (``--methods``,
+``--train``, ``--shift``), ``eval`` and ``train`` their training flags
+(``--epochs`` ...) and ``score`` its reading.  ``eval`` and ``train`` then
+read the pairs file and ``score`` takes its two words; only after that is
+the embedding file read, keeping just the rows of those words (``keep=`` of
+the loaders).  So when both the pairs file and the embedding file are bad,
+the pairs file's error is the one reported.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _train_config(args, seed) -> training.TrainConfig:
+def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(step_size=args.step_size, epochs=args.epochs,
-                                batch_size=args.batch_size, seed=seed,
+                                batch_size=args.batch_size, seed=args.seed,
                                 l2=args.l2, d_out=args.d_out)
 
 
@@ -147,12 +149,13 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"methods {mapped} need training; rerun with --train"
         )
+    evaluation._method_readings(methods, args.shift)  # before any file is read
+    train_config = _train_config(args) if mapped else None
     dataset = evaluation.load_pairs(args.pairs)
     table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     request = evaluation.EvalRequest(
         dataset=dataset, embeddings=table, methods=methods, shift=args.shift,
-        k_folds=args.folds, seed=args.seed, threads=args.threads,
-        train_config=_train_config(args, args.seed) if mapped else None,
+        k_folds=args.folds, seed=args.seed, threads=args.threads, train_config=train_config,
     )
     report = evaluation.run_eval(request)
     sys.stdout.write(report.to_csv())
@@ -161,14 +164,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = _train_config(args)
     dataset = evaluation.load_pairs(args.pairs)
     table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
-    positions, dropped = evaluation.resolve_pairs(dataset.pairs, table)[:2]
+    kept, dropped, *rows = evaluation.resolve_pairs(dataset.pairs, table)
     if dropped:
         print(f"dropped {dropped} out-of-vocabulary pairs", file=sys.stderr)
-    kept = evaluation.WordPairDataset(pairs=[dataset.pairs[n] for n in positions])
-    folded = evaluation.make_folds(kept, args.folds, args.seed)
-    results = training.train(folded, table, _train_config(args, args.seed), args.op)
+    kept_pairs = evaluation.WordPairDataset(pairs=[dataset.pairs[n] for n in kept])
+    folded = evaluation.make_folds(kept_pairs, args.folds, args.seed)
+    results = training.train(folded.folds, rows, cfg, args.op)
     os.makedirs(args.out_dir, exist_ok=True)
     for i, trained in enumerate(results):
         path = os.path.join(args.out_dir, f"fold{i}.model")

@@ -112,20 +112,17 @@ class TextFormatError(EmbeddingFormatError):
 class EmbeddingTable:
     """Immutable token -> vector table; rows float32, lookups float64.
 
-    A table needs at least one row unless ``allow_empty`` is set, as the
-    loaders set it: a load whose ``keep`` matches no token gives an empty
-    table, in which every lookup misses.
+    A table may be empty (a load whose ``keep`` matches no token gives
+    one); every lookup in it misses.
     """
 
-    def __init__(self, tokens, matrix, *, allow_empty: bool = False):
+    def __init__(self, tokens, matrix):
         matrix = np.asarray(matrix, dtype=np.float32)
         tokens = list(tokens)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
         if len(tokens) != matrix.shape[0]:
             raise ValueError(f"{len(tokens)} tokens but {matrix.shape[0]} matrix rows")
-        if len(tokens) == 0 and not allow_empty:
-            raise ValueError("embedding table needs at least one token")
         if matrix.shape[1] == 0:
             raise ValueError("embedding vectors must have at least one dimension")
         self._vocab = dict(zip(tokens, range(len(tokens))))
@@ -246,7 +243,7 @@ def load_binary(path, keep=None) -> EmbeddingTable:
             raise CountMismatchError(
                 f"file continues past the {count} promised entries", offset=base + pos
             )
-    return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim), allow_empty=True)
+    return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim))
 
 
 def write_binary(table: EmbeddingTable, path) -> None:
@@ -333,14 +330,13 @@ def load_text(path, keep=None) -> EmbeddingTable:
             f"header promises {expect_count} entries but the file has {len(seen)}"
         )
     matrix = np.vstack(rows) if rows else np.empty((0, dim), np.float32)
-    return EmbeddingTable(tokens, matrix, allow_empty=True)
+    return EmbeddingTable(tokens, matrix)
 
 
-def write_text(table: EmbeddingTable, path, header: bool = True) -> None:
+def write_text(table: EmbeddingTable, path) -> None:
     """Write the text format; %.9g keeps float32 values bit-exact on reload."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(table)} {table.dim}\n")
+        fh.write(f"{len(table)} {table.dim}\n")
         # Python floats from tolist() format faster than numpy scalars
         fh.writelines(
             token + " " + " ".join(["%.9g" % v for v in row.tolist()]) + "\n"

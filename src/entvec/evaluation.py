@@ -2,8 +2,8 @@
 
 The dataset is a list of (hyponym, hypernym, label) pairs.  Pairs whose
 words are missing from the embedding table are dropped up front and
-counted, by ``resolve_pairs`` for ``run_eval``, ``entvec train`` and
-``training.train`` alike.  Two metrics are reported:
+counted, by ``resolve_pairs``; ``run_eval`` and ``entvec train`` both hand
+its rows to ``training.train``.  Two metrics are reported:
 
   * 50% accuracy: scores are thresholded so that exactly half of the
     items are predicted positive (the datasets are label-balanced), and
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interpret
+from . import interpret, training
 from .core import _pair_rows
 from .embeddings import EmbeddingTable, _raise_at_bad_utf8_line
 
@@ -370,28 +370,38 @@ class EvalRequest:
     shift: float = 1.0
     k_folds: int = 10
     seed: int = 0
-    train_config: object = None  # a trainer TrainConfig; defaulted when mapped-* run
+    train_config: training.TrainConfig | None = None  # defaulted when mapped-* run
     threads: int = 1
 
 
-def _unsupervised_scores(method, words, pairs, shift):
-    """Scores of an operator or baseline method on the rows ``pairs`` of ``words``."""
-    if method not in OPERATOR_METHODS:
+def _method_readings(methods, shift) -> dict:
+    """Each operator method's Interpretation; rejects no or unknown methods
+    and a bad unkdup ``shift``, so a request fails before any data is read."""
+    if not methods:
+        raise ValueError("no methods requested")
+    for m in methods:
+        if m not in ALL_METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
+    return {m: interpret.Interpretation(OPERATOR_METHODS[m][0].kind, shift)
+            for m in methods if m in OPERATOR_METHODS}
+
+
+def _unsupervised_scores(method, words, pairs, reading):
+    """Scores of a method on the rows ``pairs`` of ``words``; ``reading`` is
+    an operator method's Interpretation, None for a baseline."""
+    if reading is None:
         return baseline_score(method, words, words, pairs=pairs)
-    reading, op = OPERATOR_METHODS[method]
-    interp_obj = interpret.Interpretation(reading.kind, shift)
-    return interpret.pair_score(words, words, interp_obj, op, pairs=pairs)
+    return interpret.pair_score(words, words, reading, OPERATOR_METHODS[method][1], pairs=pairs)
 
 
-def _mapped_scores(method, dataset, table, words, hi, gi, train_config):
+def _mapped_scores(method, folds, rows, train_config):
     """Held-out forward and reversed scores, pooled over the folds."""
-    from . import training  # deferred: training depends on this module's types
-
     cfg = train_config if train_config is not None else training.TrainConfig()
-    results = training.train(dataset, table, cfg, MAPPED_METHODS[method])
+    results = training.train(folds, rows, cfg, MAPPED_METHODS[method])
+    words, hi, gi, _ = rows
     scores = np.full(hi.size, np.nan)
     rev = np.full(hi.size, np.nan)
-    for fold, trained in zip(dataset.folds, results):
+    for fold, trained in zip(folds, results):
         idx = np.asarray(fold.test, dtype=np.int64)
         hypo_mat, hyper_mat = words[hi[idx]], words[gi[idx]]
         scores[idx] = training.raw_scores(trained.model, hypo_mat, hyper_mat)
@@ -404,18 +414,14 @@ def _mapped_scores(method, dataset, table, words, hi, gi, train_config):
 def run_eval(request: EvalRequest) -> EvalReport:
     """Score every requested method and aggregate both metrics into a report."""
     methods = tuple(request.methods)
-    if not methods:
-        raise ValueError("no methods requested")
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
+    readings = _method_readings(methods, request.shift)
 
     if request.dataset.folds is not None:
         raise ValueError("dataset already has folds; run_eval builds them from k_folds and seed")
 
-    table = request.embeddings
     pairs = request.dataset.pairs
-    kept, n_dropped, words, hi, gi, labels = resolve_pairs(pairs, table)
+    kept, n_dropped, *resolved = resolve_pairs(pairs, request.embeddings)
+    words, hi, gi, labels = resolved
     # forward pairs, then the same pairs reversed: one scoring call per method
     both = (np.concatenate([hi, gi]), np.concatenate([gi, hi]))
     pos_mask = labels == 1
@@ -426,10 +432,10 @@ def run_eval(request: EvalRequest) -> EvalReport:
 
     def one(method):
         if method in MAPPED_METHODS:
-            scores, rev = _mapped_scores(method, dataset, table, words, hi, gi,
-                                         request.train_config)
+            scores, rev = _mapped_scores(method, dataset.folds, resolved, request.train_config)
         else:
-            scores, rev = np.split(_unsupervised_scores(method, words, both, request.shift), 2)
+            scores, rev = np.split(
+                _unsupervised_scores(method, words, both, readings.get(method)), 2)
         acc50, threshold = fifty_percent_accuracy(scores, labels)
         dir_acc = _direction_credit(scores[pos_mask], rev[pos_mask])
         return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)

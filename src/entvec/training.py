@@ -6,8 +6,8 @@ mapped through the same W, the chosen operator (or a plain difference sum)
 scores the mapped pair, and sigma(score - tau) is read as the probability
 that the pair is a true hyponym pair.  Training is plain mini-batch
 gradient descent with a constant step size and seeded shuffling, so runs
-are bitwise reproducible.  ``train`` resolves the pairs to rows once
-(``evaluation.resolve_pairs``); a fold skips its out-of-vocabulary pairs.
+are bitwise reproducible.  ``train`` takes pairs already resolved to
+embedding rows (``evaluation.resolve_pairs``), so it reads no table.
 
 Mapped vectors are always read as log-odds and scored by the operator
 terms of ``core``, saturation cap included; the duplicate/shift readings
@@ -27,8 +27,6 @@ import numpy as np
 
 from . import core
 from .core import sigmoid
-from .embeddings import EmbeddingTable
-from .evaluation import WordPairDataset, resolve_pairs
 from .interpret import OPERATOR_NAMES
 from .interpret import transform  # unused; perfbench/spans.py rebinds training.transform
 
@@ -221,31 +219,25 @@ def loss_and_grad(model: MappingModel, batch, l2: float = 0.0):
     return _loss_and_grad_mats(model, h_raw, g_raw, targets, l2)
 
 
-def train(dataset: WordPairDataset, embeddings: EmbeddingTable,
-          cfg: TrainConfig, op: str) -> list:
+def train(folds, rows, cfg: TrainConfig, op: str) -> list:
     """Train one mapping per fold; returns a TrainedFold per fold.
 
-    Each fold gets its own deterministic substream of ``cfg.seed`` for
-    initialization and epoch shuffling.  tau starts at the mean raw
-    score of the first batch, centering initial predictions near 0.5.
+    ``rows`` is ``(words, hi, gi, labels)`` of ``evaluation.resolve_pairs``:
+    pair n is hyponym ``words[hi[n]]``, hypernym ``words[gi[n]]``, label ``labels[n]``.
+    Each Fold of ``folds`` trains on the pairs its ``train`` indexes, with
+    its own deterministic substream of ``cfg.seed`` for initialization and
+    epoch shuffling.  tau starts at the mean raw score of the first batch,
+    centering initial predictions near 0.5.
     """
     op = _canon_op(op)
-    if dataset.folds is None:
-        raise ValueError("dataset has no folds; build them with make_folds first")
-    try:
-        kept, _, words, hi, gi, labels = resolve_pairs(dataset.pairs, embeddings)
-    except ValueError:  # no pair is in the vocabulary, so fold 0 has none either
-        kept = np.empty(0, dtype=np.intp)
-    row = np.full(len(dataset.pairs), -1, dtype=np.intp)  # each pair's kept row, or -1
-    row[kept] = np.arange(kept.size)
-    d_in = embeddings.dim
+    words, hi, gi, labels = rows
+    d_in = words.shape[1]
     d_out = cfg.d_out if cfg.d_out is not None else d_in
     results = []
-    for fold_idx, fold in enumerate(dataset.folds):
-        sel = row[np.asarray(fold.train, dtype=np.intp)]
-        sel = sel[sel >= 0]
+    for fold_idx, fold in enumerate(folds):
+        sel = np.asarray(fold.train, dtype=np.intp)
         if not sel.size:
-            raise ValueError(f"fold {fold_idx} has no in-vocabulary training pairs")
+            raise ValueError(f"fold {fold_idx} has no training pairs")
         h_all, g_all = words[hi[sel]], words[gi[sel]]
         t_all = labels[sel].astype(np.float64)
         n = sel.size

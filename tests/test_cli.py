@@ -221,6 +221,22 @@ class TestTrainCommand:
             assert model.d_in == 4
         assert "training pairs" in captured.err
 
+    def test_resolves_the_pairs_once(self, capsys, tmp_path, monkeypatch):
+        lookups = []
+        lookup = EmbeddingTable.lookup
+        monkeypatch.setattr(EmbeddingTable, "lookup",
+                            lambda self, token: lookups.append(token) or lookup(self, token))
+        vec_path, pair_path = write_disjoint_fixture(tmp_path, n_pairs=6)
+        with open(pair_path, "a", encoding="utf-8") as fh:
+            fh.write("hypo0\tghost\t1\n")
+        assert main([
+            "train", "--embeddings", vec_path, "--pairs", pair_path,
+            "--out-dir", str(tmp_path / "m"), "--folds", "2", "--epochs", "1",
+        ]) == 0
+        assert "dropped 1 out-of-vocabulary pairs" in capsys.readouterr().err
+        assert sorted(lookups) == sorted(f"{kind}{i}" for kind in ("hypo", "hyper")
+                                         for i in range(6))
+
     def test_all_oov_is_data_error(self, capsys, tmp_path):
         pair_path = tmp_path / "pairs.tsv"
         pair_path.write_text("ghost\tspirit\t1\n")
@@ -242,6 +258,19 @@ def test_all_oov_pairs_are_named_for_either_format(capsys, tmp_path, command, fm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "entvec: error: every pair has an out-of-vocabulary word\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--methods", "dot,unkdup-bwd", "--shift", "inf"],
+     "unkdup shift must be finite, got inf"),
+    (["eval", "--methods", "mapped-dif", "--train", "--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["train", "--out-dir", "/nonexistent", "--epochs", "0"], "epochs must be >= 1, got 0"),
+])
+def test_bad_request_is_reported_before_any_file_is_read(capsys, argv, message):
+    assert main(argv + ["--embeddings", "/nonexistent.bin", "--pairs", "/nonexistent.tsv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entvec: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["score", "eval", "train"])

@@ -83,9 +83,10 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            EmbeddingTable([], np.zeros((0, 1)))
-        with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.zeros((1, 0)))
+        empty = EmbeddingTable([], np.zeros((0, 1)))  # as a load that keeps no token gives
+        assert len(empty) == 0 and empty.dim == 1 and empty.tokens == []
+        assert "a" not in empty and empty.lookup("a") is None
 
 
 class TestBinaryFormat:

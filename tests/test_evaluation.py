@@ -22,6 +22,7 @@ from entvec.evaluation import (
     resolve_pairs,
     run_eval,
 )
+from entvec.training import TrainConfig
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -414,8 +415,6 @@ class TestRunEval:
             run_eval(EvalRequest(dataset, table, methods=()))
 
     def test_mapped_method_end_to_end(self):
-        from entvec.training import TrainConfig
-
         rng = np.random.default_rng(42)
         tokens, pairs = [], []
         for i in range(12):
@@ -436,6 +435,30 @@ class TestRunEval:
         assert row.method == "mapped-dif"
         assert row.n_scored == 12
         assert 0.0 <= row.acc50 <= 1.0 and 0.0 <= row.dir_acc <= 1.0
+
+    def test_mapped_methods_resolve_the_pairs_once(self, monkeypatch):
+        # training takes run_eval's rows, so each in-vocabulary word is looked up once
+        lookups = []
+        lookup = EmbeddingTable.lookup
+        monkeypatch.setattr(EmbeddingTable, "lookup",
+                            lambda self, token: lookups.append(token) or lookup(self, token))
+        rng = np.random.default_rng(3)
+        tokens = [f"w{k}" for k in range(16)]
+        table = EmbeddingTable(tokens, rng.normal(size=(16, 4)).astype(np.float32))
+        pairs = [WordPair(f"w{2 * k}", f"w{2 * k + 1}", k % 2) for k in range(8)]
+        pairs.append(WordPair("w0", "oov", 1))
+        report = run_eval(EvalRequest(
+            WordPairDataset(pairs), table, methods=("mapped-bwd", "mapped-fact", "mapped-dif"),
+            k_folds=2, train_config=TrainConfig(epochs=1, batch_size=4), threads=2))
+        assert [row.n_dropped_oov for row in report.rows] == [1, 1, 1]
+        assert sorted(lookups) == sorted(tokens)
+
+    def test_bad_shift_is_rejected_before_any_row_is_read(self, monkeypatch):
+        dataset, table = toy_fixture()
+        monkeypatch.setattr(EmbeddingTable, "lookup", lambda self, token: pytest.fail(token))
+        with pytest.raises(ValueError, match="unkdup shift must be finite, got inf"):
+            run_eval(EvalRequest(dataset, table, methods=("dot", "unkdup-bwd"),
+                                 shift=float("inf")))
 
 
 class TestResolvePairs:

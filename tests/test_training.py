@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from entvec.embeddings import EmbeddingTable
-from entvec.evaluation import WordPair, WordPairDataset, make_folds
+from entvec.evaluation import WordPair, WordPairDataset, make_folds, resolve_pairs
 from entvec.training import (
     MappingModel,
     TrainConfig,
@@ -28,7 +26,7 @@ def random_batch(rng, n, d, labels=None):
 
 
 def separable_setup(n_pairs=16, d=4, seed=42):
-    """Vocab-disjoint pairs where dif separates labels perfectly."""
+    """Folds and resolved rows of vocab-disjoint pairs that dif separates perfectly."""
     rng = np.random.default_rng(seed)
     tokens, rows, pairs = [], [], []
     for i in range(n_pairs):
@@ -40,8 +38,8 @@ def separable_setup(n_pairs=16, d=4, seed=42):
         rows += [hypo, hyper]
         pairs.append(WordPair(f"hypo{i}", f"hyper{i}", label))
     table = EmbeddingTable(tokens, np.array(rows, dtype=np.float32))
-    dataset = make_folds(WordPairDataset(pairs), 2, seed=0)
-    return dataset, table
+    folds = make_folds(WordPairDataset(pairs), 2, seed=0).folds
+    return folds, resolve_pairs(pairs, table)[2:]
 
 
 class TestTrainConfig:
@@ -206,84 +204,55 @@ class TestLossAndGrad:
 
 class TestTrain:
     def test_loss_decreases_and_separates(self):
-        dataset, table = separable_setup()
+        folds, rows = separable_setup()
+        words, hi, gi, labels = rows
         cfg = TrainConfig(epochs=40, batch_size=4, step_size=0.05)
-        results = train(dataset, table, cfg, op="dif")
+        results = train(folds, rows, cfg, op="dif")
         assert len(results) == 2
-        for fold_idx, trained in enumerate(results):
+        for fold, trained in zip(folds, results):
             assert trained.history[-1] < trained.history[0]
             # every training pair ends up on the right side of tau
-            correct = 0
-            total = 0
-            fold = dataset.folds[fold_idx]
             for i in fold.train:
-                pair = dataset.pairs[i]
-                p = predict(trained.model, table.lookup(pair.hypo), table.lookup(pair.hyper))
-                correct += (p > 0.5) == bool(pair.label)
-                total += 1
-            assert correct == total
+                p = predict(trained.model, words[hi[i]], words[gi[i]])
+                assert (p > 0.5) == bool(labels[i])
 
     def test_bitwise_deterministic(self):
-        dataset, table = separable_setup()
+        folds, rows = separable_setup()
         cfg = TrainConfig(epochs=3, batch_size=4)
-        a = train(dataset, table, cfg, op="bwd")
-        b = train(dataset, table, cfg, op="bwd")
+        a = train(folds, rows, cfg, op="bwd")
+        b = train(folds, rows, cfg, op="bwd")
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa.model.W, fb.model.W)
             assert fa.model.tau == fb.model.tau
             assert fa.history == fb.history
 
     def test_seed_changes_result(self):
-        dataset, table = separable_setup()
-        a = train(dataset, table, TrainConfig(epochs=2, seed=0), op="dif")
-        b = train(dataset, table, TrainConfig(epochs=2, seed=1), op="dif")
+        folds, rows = separable_setup()
+        a = train(folds, rows, TrainConfig(epochs=2, seed=0), op="dif")
+        b = train(folds, rows, TrainConfig(epochs=2, seed=1), op="dif")
         assert not np.array_equal(a[0].model.W, b[0].model.W)
 
     def test_d_out_override(self):
-        dataset, table = separable_setup()
-        results = train(dataset, table, TrainConfig(epochs=1, d_out=2), op="dif")
-        assert results[0].model.W.shape == (2, table.dim)
-
-    def test_requires_folds(self):
-        dataset, table = separable_setup()
-        unfolded = WordPairDataset(list(dataset.pairs))
-        with pytest.raises(ValueError, match="no folds"):
-            train(unfolded, table, TrainConfig(epochs=1), op="dif")
+        folds, rows = separable_setup()
+        results = train(folds, rows, TrainConfig(epochs=1, d_out=2), op="dif")
+        assert results[0].model.W.shape == (2, rows[0].shape[1])
 
     def test_fold_with_no_usable_pairs(self):
-        dataset, _ = separable_setup(n_pairs=4)
-        stranger = EmbeddingTable(["unrelated"], np.ones((1, 4), dtype=np.float32))
-        with pytest.raises(ValueError, match="no in-vocabulary training pairs"):
-            train(dataset, stranger, TrainConfig(epochs=1), op="dif")
-
-    def test_skips_oov_training_pairs(self):
-        # the table lacks one word, so one training pair of one fold is OOV;
-        # the models must be those trained on the folds cut by hand
-        dataset, table = separable_setup()
-        gone = dataset.pairs[dataset.folds[0].train[1]].hyper
-        tokens = [t for t in table.tokens if t != gone]
-        partial = EmbeddingTable(tokens, np.stack([table.lookup(t) for t in tokens]))
-        known = [p.hypo in partial and p.hyper in partial for p in dataset.pairs]
-        in_vocab = [tuple(i for i in fold.train if known[i]) for fold in dataset.folds]
-        assert [len(t) for t in in_vocab] == [len(dataset.folds[0].train) - 1,
-                                              len(dataset.folds[1].train)]
-        cut = WordPairDataset(dataset.pairs, [dataclasses.replace(fold, train=t)
-                                              for fold, t in zip(dataset.folds, in_vocab)])
-        cfg = TrainConfig(epochs=3, batch_size=4)
-        for op in ("fwd", "bwd", "fact", "dif"):
-            got = train(dataset, partial, cfg, op=op)
-            want = train(cut, partial, cfg, op=op)
-            for g, w, t in zip(got, want, in_vocab):
-                assert g.model.W.tobytes() == w.model.W.tobytes(), op
-                assert (g.model.tau, g.history) == (w.model.tau, w.history), op
-                assert g.n_train == w.n_train == len(t), op
+        # every pair shares "hub", so lexical filtering empties each fold's training set
+        pairs = [WordPair("hub", f"w{i}", i % 2) for i in range(4)]
+        table = EmbeddingTable(["hub"] + [f"w{i}" for i in range(4)],
+                               np.ones((5, 4), dtype=np.float32))
+        folds = make_folds(WordPairDataset(pairs), 2, seed=0).folds
+        assert [fold.train for fold in folds] == [(), ()]
+        with pytest.raises(ValueError, match="fold 0 has no training pairs"):
+            train(folds, resolve_pairs(pairs, table)[2:], TrainConfig(epochs=1), op="dif")
 
     def test_history_length_and_count(self):
-        dataset, table = separable_setup()
-        results = train(dataset, table, TrainConfig(epochs=5), op="fact")
-        for trained in results:
+        folds, rows = separable_setup()
+        results = train(folds, rows, TrainConfig(epochs=5), op="fact")
+        for fold, trained in zip(folds, results):
             assert len(trained.history) == 5
-            assert trained.n_train > 0
+            assert trained.n_train == len(fold.train) > 0
 
 
 class TestModelSerialization:
