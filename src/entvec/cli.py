@@ -16,11 +16,12 @@ ENTVEC_EMBEDDINGS environment variable.
 Loading order: a missing ``--embeddings`` is reported first.  Then, before
 any file is read, ``eval`` checks its methods and reading (``--methods``,
 ``--train``, ``--shift``), ``eval`` and ``train`` their training flags
-(``--epochs`` ...) and ``score`` its reading.  ``eval`` and ``train`` then
-read the pairs file and ``score`` takes its two words; only after that is
-the embedding file read, keeping just the rows of those words (``keep=`` of
-the loaders).  So when both the pairs file and the embedding file are bad,
-the pairs file's error is the one reported.
+(``--epochs`` ... and ``--folds``; ``eval`` only when it trains) and
+``score`` its reading.  ``eval`` and ``train`` then read the pairs file
+and ``score`` takes its two words; only after that is the embedding file
+read, keeping just the rows of those words (``keep=`` of the loaders).
+So when both the pairs file and the embedding file are bad, the pairs
+file's error is the one reported.
 """
 
 from __future__ import annotations
@@ -150,7 +151,10 @@ def _cmd_eval(args) -> int:
             f"methods {mapped} need training; rerun with --train"
         )
     evaluation._method_readings(methods, args.shift)  # before any file is read
-    train_config = _train_config(args) if mapped else None
+    train_config = None
+    if mapped:
+        train_config = _train_config(args)
+        evaluation._check_folds(args.folds)
     dataset = evaluation.load_pairs(args.pairs)
     table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     request = evaluation.EvalRequest(
@@ -165,6 +169,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
+    evaluation._check_folds(args.folds)
     dataset = evaluation.load_pairs(args.pairs)
     table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     kept, dropped, *rows = evaluation.resolve_pairs(dataset.pairs, table)

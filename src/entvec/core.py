@@ -37,6 +37,10 @@ gathered rows.
 The factorized failure probability sigma(-y_k) sigma(x_k) is capped at
 ``MAX_FAILURE_PROB`` = 1 - 1e-12, the one saturation rule: evaluation and
 mapped training both score through these formulas, and stay finite.
+
+Each operator's gradient with respect to y and x lives here too, next to
+its score terms: mapped training reads scores and gradients from one
+private helper that builds one set of tables for both.
 """
 
 from __future__ import annotations
@@ -200,6 +204,30 @@ def _terms(op: str, ty: dict, tx: dict) -> np.ndarray:
     fail = ty["sigmoid_neg"] * tx["sigmoid"]
     np.minimum(fail, MAX_FAILURE_PROB, out=fail)
     return np.log1p(-fail)
+
+
+def _score_grads(op: str, y, x):
+    """Per-row scores of "y entails x" under ``op`` and their gradients.
+
+    Returns (scores, d scores / d y, d scores / d x) for aligned (..., d)
+    arrays y and x.  One set of tables serves the score and both
+    gradients; the scores are bitwise those of the public operator.
+    """
+    y, x = _check_pair(y, x, "y", "x", paired=False)
+    if op == "fwd":
+        ty, tx = _tables(y, "log_sigmoid", "sigmoid_neg"), _tables(x, "sigmoid", "sigmoid_neg")
+        dx = tx["sigmoid"] * tx["sigmoid_neg"] * ty["log_sigmoid"]
+        dy = tx["sigmoid"] * ty["sigmoid_neg"]
+    elif op == "bwd":
+        ty, tx = _tables(y, "sigmoid_neg", "sigmoid"), _tables(x, "log_sigmoid_neg", "sigmoid")
+        dy = -ty["sigmoid_neg"] * ty["sigmoid"] * tx["log_sigmoid_neg"]
+        dx = -ty["sigmoid_neg"] * tx["sigmoid"]
+    else:
+        ty, tx = _tables(y, "sigmoid_neg", "sigmoid"), _tables(x, "sigmoid", "sigmoid_neg")
+        q = np.minimum(ty["sigmoid_neg"] * tx["sigmoid"], MAX_FAILURE_PROB)
+        dy = ty["sigmoid_neg"] * ty["sigmoid"] * tx["sigmoid"] / (1.0 - q)
+        dx = -ty["sigmoid_neg"] * tx["sigmoid"] * tx["sigmoid_neg"] / (1.0 - q)
+    return _terms(op, ty, tx).sum(axis=-1), dy, dx
 
 
 def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs):

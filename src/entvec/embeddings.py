@@ -338,10 +338,9 @@ def write_text(table: EmbeddingTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         # Python floats from tolist() format faster than numpy scalars
-        fh.writelines(
-            token + " " + " ".join(["%.9g" % v for v in row.tolist()]) + "\n"
-            for token, row in zip(table.tokens, table.matrix)
-        )
+        row_format = "%s" + " %.9g" * table.dim + "\n"
+        fh.writelines(row_format % (token, *row.tolist())
+                      for token, row in zip(table.tokens, table.matrix))
 
 
 def load_embeddings(path, fmt: str = "auto", keep=None) -> EmbeddingTable:

@@ -206,12 +206,17 @@ def direction_accuracy(score_fn, positives) -> float:
     return _direction_credit(scores[:, 0], scores[:, 1])
 
 
+def _check_folds(k: int) -> None:
+    """Reject a fold count below 2; needs no data, so callers check it before loading."""
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
+
+
 def make_folds(dataset: WordPairDataset, k: int, seed: int) -> WordPairDataset:
     """Shuffled k-fold split with lexically disjoint train/test sets."""
     if dataset.folds is not None:
         raise ValueError("dataset already has folds")
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    _check_folds(k)
     n = len(dataset.pairs)
     if k > n:
         raise ValueError(f"cannot split {n} pairs into {k} folds")
@@ -251,18 +256,8 @@ def _hyper_rank_weights(hyper: np.ndarray) -> np.ndarray:
     return (d - ranks) / d
 
 
-_BASELINE_ALIASES = {
-    "dot": "dot",
-    "cosine": "cosine",
-    "cos": "cosine",
-    "dif": "dif",
-    "weighted_cos": "weighted_cos",
-    "wcos": "weighted_cos",
-}
-
-
 def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
-    """Untrained scorers: dot, cosine, dif (hyper minus hypo), weighted cos.
+    """Untrained scorers: dot, cosine, dif (hyper minus hypo) and wcos (weighted cosine).
 
     Weighted cosine emphasizes the hypernym's larger coordinates: both
     vectors are reweighted by w_k = (D - rank_k)/D, where rank_k is the
@@ -272,9 +267,8 @@ def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
     ``hyper_vec``; the rank weights are computed once per hypernym row,
     before the rows are gathered.
     """
-    canon = _BASELINE_ALIASES.get(kind)
-    if canon is None:
-        raise ValueError(f"unknown baseline {kind!r}; expected one of {sorted(set(_BASELINE_ALIASES))}")
+    if kind not in ("dot", "dif", "cosine", "wcos"):
+        raise ValueError(f"unknown baseline {kind!r}; expected dot, dif, cosine or wcos")
     h = np.asarray(hypo_vec, dtype=np.float64)
     g = h if hyper_vec is hypo_vec else np.asarray(hyper_vec, dtype=np.float64)
     if pairs is None and h.shape != g.shape:
@@ -284,19 +278,19 @@ def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
                          f"hypo has shape {h.shape} and hyper has shape {g.shape}")
     if h.ndim == 0 or h.shape[-1] == 0:
         raise ValueError("vectors must have at least one dimension")
-    w = _hyper_rank_weights(g) if canon == "weighted_cos" else None
+    w = _hyper_rank_weights(g) if kind == "wcos" else None
     if pairs is None:
-        out = _baseline(canon, h, g, w)
+        out = _baseline(kind, h, g, w)
     else:
-        out = _pair_rows(lambda i, j: _baseline(canon, h[i], g[j], None if w is None else w[j]),
+        out = _pair_rows(lambda i, j: _baseline(kind, h[i], g[j], None if w is None else w[j]),
                          pairs, h.shape[1])
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _baseline(canon, h, g, w):
-    if canon == "dot":
+def _baseline(kind, h, g, w):
+    if kind == "dot":
         return np.sum(h * g, axis=-1)
-    if canon == "dif":
+    if kind == "dif":
         return np.sum(g - h, axis=-1)
     if w is None:
         w = np.ones_like(g)
@@ -304,7 +298,7 @@ def _baseline(canon, h, g, w):
     h_norm = np.sqrt(np.sum(w * h * h, axis=-1))
     g_norm = np.sqrt(np.sum(w * g * g, axis=-1))
     if np.any(h_norm == 0.0) or np.any(g_norm == 0.0):
-        raise ValueError(f"{canon} is undefined for zero-weight-norm vectors")
+        raise ValueError(f"{kind} is undefined for zero-weight-norm vectors")
     return num / (h_norm * g_norm)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "LOG_ODDS",
     "DUP",
     "UNK_DUP",
-    "OPERATOR_NAMES",
     "ContextModelInputs",
     "GradientGrid",
     "transform",
@@ -57,17 +56,6 @@ __all__ = [
 ]
 
 _KINDS = ("logodds", "dup", "unkdup")
-
-# canonical operator tokens plus the long spellings accepted from callers
-OPERATOR_NAMES = {
-    "fwd": "fwd",
-    "forward": "fwd",
-    "bwd": "bwd",
-    "backward": "bwd",
-    "fact": "fact",
-    "factorized": "fact",
-}
-
 
 @dataclass(frozen=True)
 class Interpretation:
@@ -134,10 +122,8 @@ def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None)
     of ``hyper_raw``: pass one (words, d) matrix as both arguments and the
     operator's tables are built once per word, not once per pair row.
     """
-    canon = OPERATOR_NAMES.get(op)
-    if canon is None:
+    if op not in ("fwd", "bwd", "fact"):
         raise ValueError(f"unknown operator {op!r}; expected fwd, bwd or fact")
-    op = canon
     y = transform(hypo_raw, interp)
     x = y if hyper_raw is hypo_raw else transform(hyper_raw, interp)
     if op == "fwd":

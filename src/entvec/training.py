@@ -9,14 +9,15 @@ gradient descent with a constant step size and seeded shuffling, so runs
 are bitwise reproducible.  ``train`` takes pairs already resolved to
 embedding rows (``evaluation.resolve_pairs``), so it reads no table.
 
-Mapped vectors are always read as log-odds and scored by the operator
-terms of ``core``, saturation cap included; the duplicate/shift readings
-are subsumed by the freedom of a learned linear map, so composing them
-would be redundant.  A mini-batch builds the sigma / log sigma tables of
-its mapped vectors once, with ``core``'s table helper, and the loss and
-the gradient both read them.  The gradients flow analytically through the
-operator and the mapping; the finite-difference agreement test is the
-contract here.
+Mapped vectors are always read as log-odds and scored by ``core``'s
+operators, saturation cap included; the duplicate/shift readings are
+subsumed by the freedom of a learned linear map, so composing them would
+be redundant.  Each operator's score and its gradient with respect to the
+mapped vectors are written in ``core``: a mini-batch gets both from one
+``core`` helper that builds the sigma / log sigma tables of its mapped
+vectors once.  Only ``dif`` (a plain difference sum) is scored here.  The
+gradients then flow analytically through the mapping; the
+finite-difference agreement test is the contract here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import core
 from .core import sigmoid
-from .interpret import OPERATOR_NAMES
 from .interpret import transform  # unused; perfbench/spans.py rebinds training.transform
 
 __all__ = [
@@ -46,11 +46,9 @@ __all__ = [
 _OPS = ("fwd", "bwd", "fact", "dif")
 
 
-def _canon_op(op: str) -> str:
-    canon = OPERATOR_NAMES.get(op, op)
-    if canon not in _OPS:
+def _check_op(op: str) -> None:
+    if op not in _OPS:
         raise ValueError(f"unknown operator {op!r}; expected one of {_OPS}")
-    return canon
 
 
 @dataclass
@@ -88,7 +86,7 @@ class MappingModel:
         if not np.all(np.isfinite(self.W)):
             raise ValueError("W contains non-finite entries")
         self.tau = float(self.tau)
-        self.op = _canon_op(self.op)
+        _check_op(self.op)
 
     @property
     def d_out(self) -> int:
@@ -121,35 +119,6 @@ def _check_d_in(model: MappingModel, mat: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has dim {mat.shape[-1]} but the mapping expects {model.d_in}")
 
 
-# the core tables of mapped hyponym rows y and hypernym rows x that an
-# operator's score and its gradient read
-_GRAD_TABLES = {
-    "fwd": (("log_sigmoid", "sigmoid_neg"), ("sigmoid", "sigmoid_neg")),
-    "bwd": (("sigmoid_neg", "sigmoid"), ("log_sigmoid_neg", "sigmoid")),
-    "fact": (("sigmoid_neg", "sigmoid"), ("sigmoid", "sigmoid_neg")),
-}
-
-
-def _mapped_tables(op: str, y: np.ndarray, x: np.ndarray, grads: bool):
-    """y's and x's core tables that op's score reads, and with ``grads`` its gradient.
-
-    None for dif, which reads no table.  Non-finite mapped vectors are
-    rejected as ``core``'s operators reject them.
-    """
-    if op == "dif":
-        return None
-    y, x = core._check_pair(y, x, "y", "x", paired=False)
-    need_y, need_x = (_GRAD_TABLES if grads else core._OPERATOR_TABLES)[op]
-    return core._tables(y, *need_y), core._tables(x, *need_x)
-
-
-def _mapped_scores(op: str, y: np.ndarray, x: np.ndarray, tables) -> np.ndarray:
-    """Scores of "y entails x" for mapped hyponym rows y and hypernym rows x."""
-    if op == "dif":
-        return np.sum(x - y, axis=-1)
-    return core._terms(op, *tables).sum(axis=-1)
-
-
 def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     """Operator scores of mapped pairs, before the tau offset; accepts (n, d_in)."""
     h_raw = np.atleast_2d(np.asarray(hypo_raw, dtype=np.float64))
@@ -157,7 +126,13 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     _check_d_in(model, h_raw, "hypo")
     _check_d_in(model, g_raw, "hyper")
     h, g = h_raw @ model.W.T, g_raw @ model.W.T
-    return _mapped_scores(model.op, h, g, _mapped_tables(model.op, h, g, grads=False))
+    if model.op == "fwd":
+        return core.entail_forward(g, h)
+    if model.op == "bwd":
+        return core.entail_backward(h, g)
+    if model.op == "fact":
+        return core.entail_factorized(h, g)
+    return np.sum(g - h, axis=-1)
 
 
 def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
@@ -166,36 +141,20 @@ def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
     return float(sigmoid(s[0] - model.tau))
 
 
-def _score_grads(op: str, y: np.ndarray, x: np.ndarray, tables):
-    """Per-sample d(score)/d(mapped hypo y) and d(score)/d(mapped hyper x)."""
-    if op == "dif":
-        return -np.ones_like(y), np.ones_like(x)
-    ty, tx = tables
-    if op == "fwd":
-        dx = tx["sigmoid"] * tx["sigmoid_neg"] * ty["log_sigmoid"]
-        dy = tx["sigmoid"] * ty["sigmoid_neg"]
-    elif op == "bwd":
-        dy = -ty["sigmoid_neg"] * ty["sigmoid"] * tx["log_sigmoid_neg"]
-        dx = -ty["sigmoid_neg"] * tx["sigmoid"]
-    else:
-        q = np.minimum(ty["sigmoid_neg"] * tx["sigmoid"], core.MAX_FAILURE_PROB)
-        dy = ty["sigmoid_neg"] * ty["sigmoid"] * tx["sigmoid"] / (1.0 - q)
-        dx = -ty["sigmoid_neg"] * tx["sigmoid"] * tx["sigmoid_neg"] / (1.0 - q)
-    return dy, dx
-
-
 def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets, l2: float):
     n = h_raw.shape[0]
     h = h_raw @ model.W.T
     g = g_raw @ model.W.T
-    tables = _mapped_tables(model.op, h, g, grads=True)  # shared by loss and gradient
-    u = _mapped_scores(model.op, h, g, tables) - model.tau
+    if model.op == "dif":
+        s, dh, dg = np.sum(g - h, axis=-1), -np.ones_like(h), np.ones_like(g)
+    else:
+        s, dh, dg = core._score_grads(model.op, h, g)
+    u = s - model.tau
     tu = core._tables(u, "sigmoid", "log_sigmoid", "log_sigmoid_neg")
     p = tu["sigmoid"]
     bce = -(targets * tu["log_sigmoid"] + (1.0 - targets) * tu["log_sigmoid_neg"])
     loss = float(np.mean(bce))
     dl_ds = (p - targets) / n
-    dh, dg = _score_grads(model.op, h, g, tables)
     grad_w = (dg * dl_ds[:, None]).T @ g_raw + (dh * dl_ds[:, None]).T @ h_raw
     grad_tau = float(np.mean(targets - p))
     if l2 > 0.0:
@@ -229,7 +188,7 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
     epoch shuffling.  tau starts at the mean raw score of the first batch,
     centering initial predictions near 0.5.
     """
-    op = _canon_op(op)
+    _check_op(op)
     words, hi, gi, labels = rows
     d_in = words.shape[1]
     d_out = cfg.d_out if cfg.d_out is not None else d_in

@@ -1,9 +1,10 @@
+import argparse
 import pathlib
 
 import numpy as np
 import pytest
 
-from entvec.cli import EMBEDDINGS_ENV_VAR, main
+from entvec.cli import EMBEDDINGS_ENV_VAR, build_parser, main
 from entvec.embeddings import (
     EmbeddingTable,
     load_embeddings,
@@ -12,7 +13,7 @@ from entvec.embeddings import (
     write_text,
 )
 from entvec.interpret import LOG_ODDS, UNK_DUP, pair_score
-from entvec.training import load_model
+from entvec.training import MappingModel, load_model
 
 DATA = pathlib.Path(__file__).parent / "data"
 VECTORS = str(DATA / "toy_vectors.txt")
@@ -132,6 +133,13 @@ class TestEvalCommand:
             "--methods", "logodds-bwd,logodds-fact,dot,dif,wcos",
         ]) == 0
         assert capsys.readouterr().out == (DATA / "toy_report_golden.csv").read_text()
+
+    def test_folds_are_unchecked_without_mapped_methods(self, capsys):
+        argv = ["eval", "--embeddings", VECTORS, "--pairs", PAIRS, "--methods", "dot,wcos"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert main(argv + ["--folds", "1"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_mapped_without_train_flag(self, capsys):
         assert main([
@@ -265,6 +273,9 @@ def test_all_oov_pairs_are_named_for_either_format(capsys, tmp_path, command, fm
      "unkdup shift must be finite, got inf"),
     (["eval", "--methods", "mapped-dif", "--train", "--epochs", "0"], "epochs must be >= 1, got 0"),
     (["train", "--out-dir", "/nonexistent", "--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["eval", "--methods", "dot,mapped-dif", "--train", "--folds", "1"],
+     "need at least 2 folds, got 1"),
+    (["train", "--out-dir", "/nonexistent", "--folds", "1"], "need at least 2 folds, got 1"),
 ])
 def test_bad_request_is_reported_before_any_file_is_read(capsys, argv, message):
     assert main(argv + ["--embeddings", "/nonexistent.bin", "--pairs", "/nonexistent.tsv"]) == 2
@@ -288,6 +299,30 @@ def test_only_the_scored_words_are_loaded(capsys, tmp_path, monkeypatch, command
     assert main(argv + ["--embeddings", vectors]) == 0
     words = {w for line in open(pairs, encoding="utf-8") for w in line.split("\t")[:2]}
     assert loads == [{"puppy", "dog"} if command == "score" else words]
+
+
+def _op_choices(command):
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subs.choices[command]._actions if a.dest == "op").choices
+
+
+def _accepts(make, op):
+    try:
+        make(op)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command, make", [
+    ("score", lambda op: pair_score([0.5], [-0.2], LOG_ODDS, op)),
+    ("train", lambda op: MappingModel(W=np.eye(1), tau=0.0, op=op)),
+])
+def test_op_choices_are_the_tokens_the_library_accepts(command, make):
+    choices = set(_op_choices(command))
+    candidates = choices | {"fwd", "bwd", "fact", "dif", "forward", "backward", "factorized",
+                            "dot", "cos", "cosine", "wcos", "weighted_cos"}
+    assert {op for op in candidates if _accepts(make, op)} == choices
 
 
 class TestGraphCommand:

@@ -236,6 +236,24 @@ OPS = {
 }
 
 
+class TestScoreGrads:
+    # rows at +/-30 and +/-1e-300, and a saturated factorized row (the cap is reached)
+    Y = np.array([[30.0, -30.0, 1e-300, -1e-300, 0.7],
+                  [-30.0, 1e-300, 30.0, -1e-300, -2.0],
+                  [-40.0, -40.0, -40.0, -40.0, -40.0]])
+    X = np.array([[-30.0, 30.0, -1e-300, 1e-300, -1.3],
+                  [1e-300, -30.0, -1e-300, 30.0, 0.4],
+                  [40.0, 40.0, 40.0, 40.0, 40.0]])
+
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact"])
+    def test_score_is_the_public_operator_bitwise(self, op):
+        got, dy, dx = core._score_grads(op, self.Y, self.X)
+        assert got.tobytes() == OPS[op](self.Y, self.X).tobytes()
+        assert dy.shape == dx.shape == self.Y.shape
+        if op == "fact":
+            assert got[2] == 5 * np.log1p(-MAX_FAILURE_PROB)
+
+
 def _word_table(d, seed=0):
     rng = np.random.default_rng(seed)
     words = rng.uniform(-6, 6, size=(6, d))

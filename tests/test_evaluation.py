@@ -251,14 +251,14 @@ class TestBaselineScore:
 
     def test_cosine(self):
         assert baseline_score("cosine", [1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-12)
-        assert baseline_score("cos", [1, 1], [2, 2]) == pytest.approx(1.0, rel=1e-12)
+        assert baseline_score("cosine", [1, 1], [2, 2]) == pytest.approx(1.0, rel=1e-12)
 
     def test_weighted_cos_weights_follow_hypernym_ranks(self):
         # hyper [3, 1]: weights (2-0)/2=1 for dim 0 and (2-1)/2=0.5 for dim 1
         h, g = np.array([1.0, 2.0]), np.array([3.0, 1.0])
         num = 1.0 * 1 * 3 + 0.5 * 2 * 1
         den = np.sqrt(1 * 1 + 0.5 * 4) * np.sqrt(1 * 9 + 0.5 * 1)
-        assert baseline_score("weighted_cos", h, g) == pytest.approx(num / den, rel=1e-12)
+        assert baseline_score("wcos", h, g) == pytest.approx(num / den, rel=1e-12)
 
     def test_zero_vector_errors(self):
         with pytest.raises(ValueError):
@@ -279,6 +279,11 @@ class TestBaselineScore:
         with pytest.raises(ValueError, match="euclid"):
             baseline_score("euclid", [1.0], [1.0])
 
+    @pytest.mark.parametrize("kind", ["cos", "weighted_cos"])
+    def test_rejects_other_spellings(self, kind):
+        with pytest.raises(ValueError, match=kind):
+            baseline_score(kind, [1.0, 2.0], [2.0, 1.0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             baseline_score("dot", [1.0], [1.0, 2.0])
@@ -295,13 +300,13 @@ class TestBaselinePairs:
         words[3] = 0.5                        # all tied
         return words
 
-    @pytest.mark.parametrize("kind", ["dot", "dif", "cos", "wcos"])
+    @pytest.mark.parametrize("kind", ["dot", "dif", "cosine", "wcos"])
     def test_matches_per_pair_calls(self, kind):
         words = self._words()
         got = baseline_score(kind, words, words, pairs=(self.I, self.J))
         np.testing.assert_array_equal(got, baseline_score(kind, words[self.I], words[self.J]))
 
-    @pytest.mark.parametrize("kind", ["dot", "dif", "cos", "wcos"])
+    @pytest.mark.parametrize("kind", ["dot", "dif", "cosine", "wcos"])
     def test_two_tables_and_scalar_indices(self, kind):
         hypo, hyper = self._words(), self._words()[::-1].copy()
         got = baseline_score(kind, hypo, hyper, pairs=(self.I, self.J))

@@ -131,9 +131,10 @@ class TestPairScore:
                 pair_score(-h, -g, DUP, op), rel=1e-12
             )
 
-    def test_long_op_aliases(self):
-        h, g = [1.0, 2.0], [0.0, -1.0]
-        assert pair_score(h, g, LOG_ODDS, "backward") == pair_score(h, g, LOG_ODDS, "bwd")
+    @pytest.mark.parametrize("op", ["forward", "backward", "factorized"])
+    def test_rejects_long_op_spellings(self, op):
+        with pytest.raises(ValueError, match=op):
+            pair_score([1.0, 2.0], [0.0, -1.0], LOG_ODDS, op)
 
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="cosine"):

@@ -68,9 +68,10 @@ class TestMappingModel:
         model = MappingModel(W=np.zeros((3, 5)), tau=0.5)
         assert model.d_out == 3 and model.d_in == 5
 
-    def test_canonicalizes_op(self):
-        model = MappingModel(W=np.zeros((1, 1)), tau=0.0, op="backward")
-        assert model.op == "bwd"
+    @pytest.mark.parametrize("op", ["forward", "backward", "factorized"])
+    def test_rejects_long_op_spellings(self, op):
+        with pytest.raises(ValueError, match=op):
+            MappingModel(W=np.zeros((1, 1)), tau=0.0, op=op)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
