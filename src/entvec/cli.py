@@ -16,10 +16,12 @@ ENTVEC_EMBEDDINGS environment variable.
 Loading order: a missing ``--embeddings`` is reported first.  Then, before
 any file is read, ``eval`` checks its methods and reading (``--methods``,
 ``--train``, ``--shift``), ``eval`` and ``train`` their training flags
-(``--epochs`` ... and ``--folds``; ``eval`` only when it trains) and
-``score`` its reading.  ``eval`` and ``train`` then read the pairs file
-and ``score`` takes its two words; only after that is the embedding file
-read, keeping just the rows of those words (``keep=`` of the loaders).
+(``--epochs`` ... and ``--folds``; ``eval`` only when it trains),
+``graph`` its solver flags (``--max-sweeps``, ``--tol``, ``--damping``,
+``--clamp``) before the graph file, and ``score`` its reading.  ``eval``
+and ``train`` then read the pairs file and ``score`` takes its two words;
+only after that is the embedding file read, keeping just the rows of
+those words (``keep=`` of the loaders).
 So when both the pairs file and the embedding file are bad, the pairs
 file's error is the one reported.
 """
@@ -189,9 +191,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = graph.parse_graph_file(args.file)
     cfg = graph.SolverConfig(max_sweeps=args.max_sweeps, tol=args.tol,
                              damping=args.damping, clamp=args.clamp)
+    g = graph.parse_graph_file(args.file)
     result = graph.graph_infer(g, cfg)
     # one format per row, filled from that row's Python floats
     row = "%s" + "\t%.9g" * (g.dim or 0) + "\n"

@@ -24,9 +24,10 @@ as one array step, gives the node-by-node iterates up to floating-point
 rounding.  The cost of a sweep grows with the number of levels, the
 longest declaration-order path through the free nodes; a chain, with
 one node per level, is the worst case.  Within a level, each kind of
-neighbour term is added to the nodes' priors by an in-order scatter:
-round r adds every node's r-th term of that kind, in edge order, so each
-node gets the same additions in the same order as one term at a time.
+neighbour term is added to the nodes' priors by one flat ``np.add.at``:
+a one-dimensional ``ufunc.at`` is unbuffered and adds in index order, so
+each value gets the same additions, in kind order and then edge order,
+as one term at a time.
 
 Values are clamped to +/-``clamp`` after every update so the sigmoids
 and logs stay finite; a genuinely divergent negative-edge term (possible
@@ -193,18 +194,24 @@ class SolverConfig:
 class SolverResult:
     """What ``graph_infer`` found.
 
-    ``deltas`` holds each sweep's largest absolute change, so
-    ``final_delta == deltas[-1]``.  When the solver did not converge,
+    ``deltas`` holds each sweep's largest absolute change; ``sweeps_used``
+    and ``final_delta`` are read from it.  When the solver did not converge,
     ``largest_change`` is the ``(node, dimension)`` of the last sweep's
     largest change (the first in declaration order on a tie), else None.
     """
 
     assignments: dict
     converged: bool
-    sweeps_used: int
-    final_delta: float
     deltas: tuple
     largest_change: tuple | None
+
+    @property
+    def sweeps_used(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def final_delta(self) -> float:
+        return self.deltas[-1]
 
 
 class EntailmentGraph:
@@ -341,13 +348,28 @@ class EntailmentGraph:
         return self._row.get(name) in self._observed
 
 
+def _neg_in(state: np.ndarray, j: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Term of a negated edge j -> i on i, the entailed side."""
+    x = state[j]
+    c = _neg_constants(x, state[i])
+    return np.log1p(-c * sigmoid(x)) - np.log1p(-c)
+
+
+def _neg_out(state: np.ndarray, j: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Term of a negated edge i -> j on i, the entailing side."""
+    x = state[j]
+    c = _neg_constants(state[i], x)
+    return np.log1p(-c) - np.log1p(-c * sigmoid(-x))
+
+
 # The update adds its terms to the prior in this order, each kind in edge
-# order: (edge list, endpoint that receives the term, endpoint it reads).
+# order: (edge list, endpoint that receives the term, endpoint it reads,
+# the term of each (read row j, receiving row i) pair).
 _KINDS = (
-    ("pos", 0, 1),  # entailed neighbour: -log sigma(-X_j)
-    ("pos", 1, 0),  # entailing neighbour: +log sigma(X_j)
-    ("neg", 1, 0),  # negated edge j -> i: i is the entailed side
-    ("neg", 0, 1),  # negated edge i -> j: i is the entailing side
+    ("pos", 0, 1, lambda state, j, i: -log_sigmoid(-state[j])),  # entailed neighbour
+    ("pos", 1, 0, lambda state, j, i: log_sigmoid(state[j])),  # entailing neighbour
+    ("neg", 1, 0, _neg_in),
+    ("neg", 0, 1, _neg_out),
 )
 
 
@@ -371,48 +393,10 @@ def _levels(free: np.ndarray, edges: dict) -> np.ndarray:
     return np.array(level, dtype=np.intp)
 
 
-def _ranks(targets: np.ndarray) -> np.ndarray:
-    """For each position of ``targets``, how many earlier ones share its target."""
-    order = np.argsort(targets, kind="stable")
-    grouped = targets[order]
-    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(order.size) - np.repeat(start, np.diff(np.r_[start, order.size]))
-    return ranks
-
-
-def _rounds(targets: np.ndarray, ranks: np.ndarray, size: int) -> list:
-    """Split the positions of ``targets``, rows of a ``size``-row block, into
-    rounds for ``_scatter``.
-
-    Round r holds, in position order, the positions of rank r (see
-    ``_ranks``): the r-th of every target that has one, so no round repeats
-    a target.  A round of every position is indexed by ``slice(None)``, and
-    so are its targets when they are every row in order.
-    """
-    if not ranks.any():
-        every_row = np.array_equal(targets, np.arange(size))
-        return [(slice(None) if every_row else targets, slice(None))]
-    by_round = np.argsort(ranks, kind="stable")
-    return [(targets[p], p) for p in np.split(by_round, np.cumsum(np.bincount(ranks))[:-1])]
-
-
-def _scatter(out: np.ndarray, rounds: list, values: np.ndarray) -> None:
-    """Add each of ``values`` to its target row of ``out``, given the
-    ``rounds`` of the targets.
-
-    Round r adds each target's r-th value, so every row of ``out`` gets its
-    values one at a time in position order: the same additions, in the same
-    order and with the same bits, as numpy's unbuffered ``ufunc.at``.
-    """
-    for rows, positions in rounds:
-        out[rows] += values[positions]
-
-
-def _schedule(free: np.ndarray, edges: dict) -> list:
-    """Per level: its rows, then (rounds of the slots in level, neighbour
-    row, target row) for each of ``_KINDS``, or None where the level has
-    none."""
+def _schedule(free: np.ndarray, edges: dict, dim: int) -> list:
+    """Per level: its rows, and a (term, neighbour rows, target rows, at)
+    block for each of ``_KINDS`` with edges into the level, where ``at`` is
+    the flat index of each term value in the level's (rows, dim) block."""
     level = _levels(free, edges)
     rows = np.flatnonzero(free)
     rows = rows[np.argsort(level[rows], kind="stable")]
@@ -420,24 +404,18 @@ def _schedule(free: np.ndarray, edges: dict) -> list:
     bounds = np.searchsorted(level[rows], np.arange(n_levels + 1))
     slot = np.empty(free.size, dtype=np.intp)
     slot[rows] = np.arange(rows.size) - bounds[level[rows]]
-    levels = [[rows[bounds[lv]:bounds[lv + 1]]] for lv in range(n_levels)]
-    for kind, tgt_col, nbr_col in _KINDS:
+    levels = [(rows[bounds[lv]:bounds[lv + 1]], []) for lv in range(n_levels)]
+    for kind, tgt_col, nbr_col, term in _KINDS:
         tgt, nbr = edges[kind][:, tgt_col], edges[kind][:, nbr_col]
         keep = free[tgt]
         tgt, nbr = tgt[keep], nbr[keep]
         order = np.argsort(level[tgt], kind="stable")
         tgt, nbr = tgt[order], nbr[order]
         cuts = np.searchsorted(level[tgt], np.arange(n_levels + 1))
-        # a target's edges all sit in its level, so ranks over the whole
-        # kind are ranks within each level
-        ranks = _ranks(tgt)
-        for lv, entry in enumerate(levels):
-            lo, hi = cuts[lv], cuts[lv + 1]
-            if hi == lo:
-                entry.append(None)
-                continue
-            rounds = _rounds(slot[tgt[lo:hi]], ranks[lo:hi], entry[0].size)
-            entry.append((rounds, nbr[lo:hi], tgt[lo:hi]))
+        at = (slot[tgt][:, None] * dim + np.arange(dim)).ravel()
+        for (_, blocks), lo, hi in zip(levels, cuts[:-1], cuts[1:]):
+            if hi > lo:
+                blocks.append((term, nbr[lo:hi], tgt[lo:hi], at[lo * dim:hi * dim]))
     return levels
 
 
@@ -459,31 +437,19 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
                           count=2 * len(pairs)).reshape(-1, 2)
         for kind, pairs in (("pos", graph._pos), ("neg", graph._neg))
     }
-    levels = _schedule(free, edges)
+    levels = _schedule(free, edges, state.shape[1])
 
     converged = False
     deltas = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(1, cfg.max_sweeps + 1):
             before = state.copy()
-            for rows, pos_out, pos_in, neg_in, neg_out in levels:
+            for rows, blocks in levels:
                 new = prior[rows]
-                if pos_out is not None:
-                    t, j, _ = pos_out
-                    _scatter(new, t, -log_sigmoid(-state[j]))
-                if pos_in is not None:
-                    t, j, _ = pos_in
-                    _scatter(new, t, log_sigmoid(state[j]))
-                if neg_in is not None:
-                    t, j, i = neg_in
-                    x = state[j]
-                    c = _neg_constants(x, state[i])
-                    _scatter(new, t, np.log1p(-c * sigmoid(x)) - np.log1p(-c))
-                if neg_out is not None:
-                    t, j, i = neg_out
-                    x = state[j]
-                    c = _neg_constants(state[i], x)
-                    _scatter(new, t, np.log1p(-c) - np.log1p(-c * sigmoid(-x)))
+                # a 1-D add.at is unbuffered and runs in index order, so each
+                # value gets its terms one at a time: kind order, then edge order
+                for term, j, i, at in blocks:
+                    np.add.at(new.reshape(-1), at, term(state, j, i).reshape(-1))
                 if cfg.damping > 0.0:
                     new = (1.0 - cfg.damping) * new + cfg.damping * state[rows]
                 state[rows] = np.clip(new, -cfg.clamp, cfg.clamp, out=new)
@@ -509,8 +475,6 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
     return SolverResult(
         assignments=dict(zip(names, state)),
         converged=converged,
-        sweeps_used=len(deltas),
-        final_delta=deltas[-1],
         deltas=tuple(deltas),
         largest_change=largest,
     )

@@ -125,6 +125,10 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     g_raw = np.atleast_2d(np.asarray(hyper_raw, dtype=np.float64))
     _check_d_in(model, h_raw, "hypo")
     _check_d_in(model, g_raw, "hyper")
+    if h_raw.shape != g_raw.shape:  # dif would broadcast them
+        raise core.DimensionMismatchError(
+            f"hypo has shape {h_raw.shape} but hyper has shape {g_raw.shape}"
+        )
     h, g = h_raw @ model.W.T, g_raw @ model.W.T
     if model.op == "fwd":
         return core.entail_forward(g, h)

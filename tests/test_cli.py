@@ -276,9 +276,14 @@ def test_all_oov_pairs_are_named_for_either_format(capsys, tmp_path, command, fm
     (["eval", "--methods", "dot,mapped-dif", "--train", "--folds", "1"],
      "need at least 2 folds, got 1"),
     (["train", "--out-dir", "/nonexistent", "--folds", "1"], "need at least 2 folds, got 1"),
+    (["graph", "--tol", "-1"], "tol must be positive, got -1.0"),
+    (["graph", "--damping", "1"], "damping must be in [0, 1), got 1.0"),
+    (["graph", "--max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
 ])
 def test_bad_request_is_reported_before_any_file_is_read(capsys, argv, message):
-    assert main(argv + ["--embeddings", "/nonexistent.bin", "--pairs", "/nonexistent.tsv"]) == 2
+    missing = {"graph": ["--file", "/nonexistent.graph"]}.get(
+        argv[0], ["--embeddings", "/nonexistent.bin", "--pairs", "/nonexistent.tsv"])
+    assert main(argv + missing) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"entvec: error: {message}\n"

@@ -13,9 +13,6 @@ from entvec.graph import (
     SolverConfig,
     SolverNumericsError,
     _neg_constants,
-    _ranks,
-    _rounds,
-    _scatter,
     backward_infer,
     forward_infer,
     graph_infer,
@@ -484,7 +481,7 @@ class TestGraphInfer:
 
     def test_star_matches_node_by_node_sweeps(self):
         # the hub comes first, so one level adds its 40 entailing
-        # neighbours' terms, in 40 rounds, plus negative edges both ways;
+        # neighbours' terms, plus negative edges both ways;
         # leaves that lean known keep those terms small enough to converge
         rng = np.random.default_rng(4)
         g = EntailmentGraph()
@@ -507,49 +504,29 @@ class TestGraphInfer:
                 result.assignments[name], state[name], rtol=0.0, atol=1e-12
             )
 
-
-class TestScatter:
-    @pytest.mark.parametrize("dim", [1, 30])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_add_at(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        repeats = rng.integers(1, 51, size=25)
-        targets = rng.permutation(np.repeat(np.arange(25), repeats))
-        special = np.array([-0.0, 0.0, 5e-324, -3e-310, 700.0, -700.0])
-
-        def sample(rows):
-            # rows of -0.0, of subnormals and of +/-700 among normal rows
-            # sprinkled with the same values, so sums depend on their order
-            values = rng.normal(0.0, 1.0, size=(rows, dim))
-            pick = rng.random(values.shape) < 0.3
-            values[pick] = rng.choice(special, size=int(pick.sum()))
-            values[0::5] = -0.0
-            values[1::5] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-320], size=values[1::5].shape)
-            values[2::5] = rng.choice([700.0, -700.0], size=values[2::5].shape)
-            return values
-
-        values = sample(targets.size)
-        out = sample(25)
-        expected = out.copy()
-        np.add.at(expected, targets, values)
-        rounds = _rounds(targets, _ranks(targets), 25)
-        assert len(rounds) == repeats.max()
-        for rows, _ in rounds:
-            assert np.unique(rows).size == rows.size
-        _scatter(out, rounds, values)
-        assert out.tobytes() == expected.tobytes()
-
-    def test_distinct_targets_are_one_round(self):
-        targets = np.array([3, 0, 2])
-        rounds = _rounds(targets, _ranks(targets), 4)
-        ((rows, positions),) = rounds
-        assert rows is targets and positions == slice(None)
-        out = np.zeros((4, 2))
-        _scatter(out, rounds, np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(out, [[2, 3], [0, 0], [4, 5], [0, 1]])
-        ((rows, positions),) = _rounds(np.arange(4), np.zeros(4, dtype=np.intp), 4)
-        assert rows == positions == slice(None)
-
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    @pytest.mark.parametrize("max_sweeps", [2, 40])
+    def test_hub_adds_its_terms_in_edge_order(self, damping, max_sweeps):
+        # positive edges only, so the node-by-node sweep does the same
+        # arithmetic one term at a time; the hub's 45 terms near +25, -25
+        # and 0 round differently in another order, so equal bits mean
+        # equal order (after 2 sweeps the hub is still inside the clamp)
+        rng = np.random.default_rng(0)
+        g = EntailmentGraph()
+        g.add_node("hub", theta=rng.normal(0.0, 1.0, size=3))
+        leaves = [f"leaf{k}" for k in range(40)]
+        for k, leaf in enumerate(leaves):
+            scale = 25.0 if k % 8 == 0 else -25.0 if k % 8 == 4 else 2.0
+            g.add_node(leaf, theta=scale * rng.uniform(0.9, 1.1, size=3))
+            g.add_entail(leaf, "hub")
+        for leaf in leaves[::8]:
+            g.add_entail("hub", leaf)
+        cfg = SolverConfig(max_sweeps=max_sweeps, damping=damping)
+        state, deltas, _ = sequential_infer(g, cfg)
+        result = graph_infer(g, cfg)
+        assert list(result.deltas) == deltas
+        for name in g.node_names:
+            assert result.assignments[name].tobytes() == state[name].tobytes()
 
 class TestParseGraph:
     def test_round_trip_structure(self):

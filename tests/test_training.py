@@ -155,6 +155,15 @@ class TestScoring:
         with pytest.raises(ValueError, match="expects 3"):
             raw_scores(model, np.ones(4), np.ones(4))
 
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact", "dif"])
+    def test_row_count_mismatch_is_rejected_for_every_op(self, op):
+        from entvec.core import DimensionMismatchError
+
+        model = MappingModel(W=np.eye(2), tau=0.0, op=op)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^hypo has shape \(1, 2\) but hyper has shape \(3, 2\)$"):
+            raw_scores(model, np.ones(2), np.ones((3, 2)))
+
 
 class TestLossAndGrad:
     @pytest.mark.parametrize("op", ["fwd", "bwd", "fact", "dif"])
