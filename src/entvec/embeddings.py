@@ -23,12 +23,19 @@ valid UTF-8 raises TextFormatError naming the line.
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
 and copies each row straight into a preallocated float32 matrix; what it
 returns or raises, byte offsets included, does not depend on where the
-chunk boundaries fall.  The matrix gets no more rows than the file can
-hold (each entry takes at least a space and ``4 * dim`` bytes), so a
-header promising more than that raises CountMismatchError or
-TruncatedFileError where the data runs out.  The header line may hold at
-most 128 bytes and a token at most 65536; a longer one raises
-MalformedHeaderError.
+chunk boundaries fall.  Most entries go through a tight pass over the
+buffer: it takes every entry that lies wholly in the buffer with a byte
+after its row (so its optional newline is known), checks duplicates on
+the token bytes, and decodes only the tokens it keeps.  It stops at the
+first entry that is not plainly whole: no space within the token limit,
+a row that reaches the buffer's end, a duplicate, or the first entry the
+file has no room for.  Per-entry code takes that one entry; it alone
+refills the buffer and raises, so every error is found and worded in one
+place.  The matrix gets no more rows than the file can hold (each entry
+takes at least a space and ``4 * dim`` bytes), so a header promising
+more than that raises CountMismatchError or TruncatedFileError where the
+data runs out.  The header line may hold at most 128 bytes and a token
+at most 65536; a longer one raises MalformedHeaderError.
 
 Every loader takes ``keep``, an iterable of tokens (default None: every
 row).  With it, only the rows whose token is in ``keep`` are stored, in
@@ -45,9 +52,9 @@ the kept rows are bit-identical to the full load's::
 Tokens are compared as loaded, so a binary token that is not valid UTF-8
 is kept by its ``surrogateescape`` string.  ``load_binary`` copies only
 kept rows, into a matrix sized for at most ``len(keep)`` of them; the
-set of tokens seen, kept for the duplicate check, still grows with the
-file.  A table may be empty: that is what ``keep`` gives when none of its
-tokens is in the file.
+set of token bytes seen, kept for the duplicate check, still grows with
+the file.  A table may be empty: that is what ``keep`` gives when none of
+its tokens is in the file.
 """
 
 from __future__ import annotations
@@ -161,9 +168,29 @@ class EmbeddingTable:
         return self._matrix[idx].astype(np.float64)
 
 
+def _keep_bytes(keep) -> set:
+    """``keep``'s tokens as the bytes a binary file spells them with.
+
+    A binary token is its bytes decoded with ``surrogateescape``, which maps
+    bytes to strings one to one.  An entry that is not a str, or that no
+    bytes decode to (``"\\ud800"``, or ``"caf\\udcc3\\udca9"``, whose bytes
+    decode to ``"café"``), can match no token and is left out.
+    """
+    out = set()
+    for token in set(keep):  # an unhashable entry raises TypeError, as in load_text
+        if isinstance(token, str):
+            try:
+                raw = token.encode("utf-8", errors="surrogateescape")
+            except UnicodeEncodeError:
+                continue
+            if raw.decode("utf-8", errors="surrogateescape") == token:
+                out.add(raw)
+    return out
+
+
 def load_binary(path, keep=None) -> EmbeddingTable:
     """Read a word2vec-format binary embedding file, or only the rows of ``keep``."""
-    keep = None if keep is None else set(keep)
+    keep = None if keep is None else _keep_bytes(keep)
     with open(path, "rb") as fh:
         header = fh.readline(129)  # at most 128 bytes and the newline
         if not header:
@@ -194,16 +221,41 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         out = memoryview(matrix).cast("B")
         tokens = []
         n = 0  # rows copied
-        seen = set()
+        seen = set()  # every token's bytes, kept or not
         buf = b""
         pos = 0  # start of the current entry in buf
         eof = False
         limit = 1 << 16  # longest token, in bytes
-        for i in range(count):
-            # read until buf holds the token, its row and one byte more (the
-            # optional newline), or until the file ends; a refill keeps the
-            # entry's unread bytes, so every offset is base + index into buf.
-            # Entry `rows` cannot hold its row, so its token is enough.
+        i = 0  # index of the current entry
+        while True:
+            # the tight pass: every entry that lies wholly in buf with a byte
+            # after its row (so its optional newline is known), up to the
+            # first that might be an error or needs a refill
+            end = len(buf)
+            for i in range(i, rows):
+                sp = buf.find(b" ", pos, pos + limit + 1)
+                stop = sp + 1 + row_bytes
+                if sp < 0 or stop >= end:
+                    break
+                raw = buf[pos:sp]
+                if raw in seen:
+                    break
+                seen.add(raw)
+                if keep is None or raw in keep:
+                    tokens.append(raw.decode("utf-8", "surrogateescape"))
+                    out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
+                    n += 1
+                pos = stop + (buf[stop] == 10)
+            else:
+                i = rows
+            if i == count:
+                break
+            # entry i, one at a time: the only code that refills buf or
+            # raises.  Read until buf holds the token, its row and one byte
+            # more (the optional newline), or until the file ends; a refill
+            # keeps the entry's unread bytes, so every offset is base + index
+            # into buf.  Entry `rows` cannot hold its row, so its token is
+            # enough.
             while True:
                 sp = buf.find(b" ", pos, pos + limit + 1)
                 if sp >= 0:
@@ -226,23 +278,26 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                         offset=base + pos,
                     )
                 raise TruncatedFileError("file ends mid-token", offset=base + pos)
-            token = buf[pos:sp].decode("utf-8", errors="surrogateescape")
-            if token in seen:
+            raw = buf[pos:sp]
+            if raw in seen:
+                token = raw.decode("utf-8", errors="surrogateescape")
                 raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
-            seen.add(token)
+            seen.add(raw)
             if stop > len(buf):
                 raise TruncatedFileError(
                     f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
                 )
-            if keep is None or token in keep:
-                tokens.append(token)
+            if keep is None or raw in keep:
+                tokens.append(raw.decode("utf-8", errors="surrogateescape"))
                 out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
                 n += 1
             pos = stop + (buf[stop:stop + 1] == b"\n")
+            i += 1
         if pos < len(buf) or fh.read(1):
             raise CountMismatchError(
                 f"file continues past the {count} promised entries", offset=base + pos
             )
+    del seen  # the table's vocabulary replaces it; do not hold both
     return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim))
 
 

@@ -248,9 +248,17 @@ def make_folds(dataset: WordPairDataset, k: int, seed: int) -> WordPairDataset:
 
 
 def _hyper_rank_weights(hyper: np.ndarray) -> np.ndarray:
-    # w_k = (D - rank_k) / D with rank 0 for the hypernym's largest value
+    # w_k = (D - rank_k) / D with rank 0 for the hypernym's largest value;
+    # equal values rank in index order, as a stable sort gives.  A row with
+    # no equal values and no NaN (sorted last) has one order, so any sort
+    # finds it; only the other rows pay for the stable one.
     d = hyper.shape[-1]
-    order = np.argsort(-hyper, axis=-1, kind="stable")
+    key = -hyper
+    order = np.argsort(key, axis=-1)
+    ranked = np.take_along_axis(key, order, axis=-1)
+    tied = np.any(ranked[..., 1:] == ranked[..., :-1], axis=-1) | np.isnan(ranked[..., -1])
+    if np.any(tied):
+        order[tied] = np.argsort(key[tied], axis=-1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.broadcast_to(np.arange(d), hyper.shape).copy(), axis=-1)
     return (d - ranks) / d

@@ -431,8 +431,8 @@ class TestKeep:
 
     def test_memory_follows_the_kept_rows(self, tmp_path):
         # 20 000 x 300 float32 is a 24 MB matrix; keeping 10 rows must peak
-        # far below it.  The peak (4.8 MB) is mostly the set of tokens seen
-        # (3.2 MB at the end of the file), which grows with the file; the
+        # far below it.  The peak (4.5 MB) is mostly the set of token bytes
+        # seen (2.9 MB at the end of the file), which grows with the file; the
         # rest is read buffers: at a refill, the unread tail, one 1 MB chunk
         # and their join.
         rng = np.random.default_rng(31)

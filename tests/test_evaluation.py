@@ -14,6 +14,7 @@ from entvec.evaluation import (
     EvalRow,
     WordPair,
     WordPairDataset,
+    _hyper_rank_weights,
     baseline_score,
     direction_accuracy,
     fifty_percent_accuracy,
@@ -259,6 +260,28 @@ class TestBaselineScore:
         num = 1.0 * 1 * 3 + 0.5 * 2 * 1
         den = np.sqrt(1 * 1 + 0.5 * 4) * np.sqrt(1 * 9 + 0.5 * 1)
         assert baseline_score("wcos", h, g) == pytest.approx(num / den, rel=1e-12)
+
+    @pytest.mark.parametrize("hyper", [
+        [2.0, 1.0, 2.0, 0.5, 1.0],
+        [0.0, -0.0, 1.0, -0.0],
+        [np.inf, -np.inf, 3.0, np.inf, -np.inf],
+        [np.nan, 1.0, np.nan, -2.0],
+        [[1.0, 3.0, 2.0], [1.0, 1.0, 1.0], [0.0, -0.0, 5.0], [np.nan, 2.0, 1.0],
+         [-np.inf, np.inf, 0.0], [4.0, -1.0, 4.0]],
+        np.random.default_rng(8).integers(-2, 3, size=(40, 7)).astype(float),
+        np.where(np.arange(64) % 9 == 4, np.nan, np.random.default_rng(9).normal(size=64)),
+    ], ids=["repeats", "signed-zeros", "infinities", "nan", "mixed-rows", "many-ties",
+            "nans-in-a-long-row"])
+    def test_rank_weights_equal_the_stable_sort(self, hyper):
+        # equal values rank in index order: the weights of a stable argsort
+        hyper = np.asarray(hyper)
+        d = hyper.shape[-1]
+        order = np.argsort(-hyper, axis=-1, kind="stable")
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(d), hyper.shape).copy(),
+                          axis=-1)
+        want = (d - ranks) / d
+        assert _hyper_rank_weights(hyper).tobytes() == want.tobytes()
 
     def test_zero_vector_errors(self):
         with pytest.raises(ValueError):
