@@ -15,8 +15,8 @@ ENTVEC_EMBEDDINGS environment variable.
 
 Loading order: a missing ``--embeddings`` is reported first.  Then, before
 any file is read, ``eval`` checks its methods and reading (``--methods``,
-``--train``, ``--shift``), ``eval`` and ``train`` their training flags
-(``--epochs`` ... and ``--folds``; ``eval`` only when it trains),
+``--train``, ``--shift``) and ``--threads``, ``eval`` and ``train`` their
+training flags (``--epochs`` ... and ``--folds``; ``eval`` only when it trains),
 ``graph`` its solver flags (``--max-sweeps``, ``--tol``, ``--damping``,
 ``--clamp``) before the graph file, and ``score`` its reading.  ``eval``
 and ``train`` then read the pairs file and ``score`` takes its two words;
@@ -153,6 +153,7 @@ def _cmd_eval(args) -> int:
             f"methods {mapped} need training; rerun with --train"
         )
     evaluation._method_readings(methods, args.shift)  # before any file is read
+    evaluation._check_threads(args.threads)
     train_config = None
     if mapped:
         train_config = _train_config(args)

@@ -23,19 +23,19 @@ valid UTF-8 raises TextFormatError naming the line.
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
 and copies each row straight into a preallocated float32 matrix; what it
 returns or raises, byte offsets included, does not depend on where the
-chunk boundaries fall.  Most entries go through a tight pass over the
-buffer: it takes every entry that lies wholly in the buffer with a byte
-after its row (so its optional newline is known), checks duplicates on
-the token bytes, and decodes only the tokens it keeps.  It stops at the
-first entry that is not plainly whole: no space within the token limit,
-a row that reaches the buffer's end, a duplicate, or the first entry the
-file has no room for.  Per-entry code takes that one entry; it alone
-refills the buffer and raises, so every error is found and worded in one
-place.  The matrix gets no more rows than the file can hold (each entry
-takes at least a space and ``4 * dim`` bytes), so a header promising
-more than that raises CountMismatchError or TruncatedFileError where the
-data runs out.  The header line may hold at most 128 bytes and a token
-at most 65536; a longer one raises MalformedHeaderError.
+chunk boundaries fall.  One loop takes every entry: it checks duplicates
+on the token bytes, decodes only the tokens it keeps and steps over the
+optional newline.  An entry that is not wholly in the buffer with a byte
+after its row (so its newline is known) first goes through one branch,
+the only code that refills the buffer or raises a format error other
+than a duplicate; a row cut short by the file's end is reported as a
+duplicate when its token is one.  The matrix gets no more rows than the
+file can hold (each entry takes at least a space and ``4 * dim`` bytes),
+so a header promising more than that raises CountMismatchError or
+TruncatedFileError where the data runs out.  A stream, whose size is
+unknown, gets a matrix that grows as its rows arrive.  The header line
+may hold at most 128 bytes and a token at most 65536; a longer one
+raises MalformedHeaderError.
 
 Every loader takes ``keep``, an iterable of tokens (default None: every
 row).  With it, only the rows whose token is in ``keep`` are stored, in
@@ -212,88 +212,70 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         row_bytes = 4 * dim
         base = len(header)  # file offset of buf[0]
         rows = count
-        if fh.seekable():
+        seekable = fh.seekable()
+        if seekable:
             # an entry takes at least a space and a row, so a file cannot
             # hold more rows than this whatever its header says
             rows = min(count, (fh.seek(0, 2) - base) // (row_bytes + 1))
             fh.seek(base)
-        matrix = np.empty((rows if keep is None else min(rows, len(keep))) * dim, dtype="<f4")
+        most = rows if keep is None else min(rows, len(keep))  # rows the table can get
+        # a stream's size is unknown, so its matrix grows as its rows arrive
+        matrix = np.empty((most if seekable else 0) * dim, dtype="<f4")
         out = memoryview(matrix).cast("B")
         tokens = []
         n = 0  # rows copied
         seen = set()  # every token's bytes, kept or not
         buf = b""
-        pos = 0  # start of the current entry in buf
+        pos = end = 0  # start of the current entry in buf, and len(buf)
         eof = False
         limit = 1 << 16  # longest token, in bytes
-        i = 0  # index of the current entry
-        while True:
-            # the tight pass: every entry that lies wholly in buf with a byte
-            # after its row (so its optional newline is known), up to the
-            # first that might be an error or needs a refill
-            end = len(buf)
-            for i in range(i, rows):
-                sp = buf.find(b" ", pos, pos + limit + 1)
-                stop = sp + 1 + row_bytes
-                if sp < 0 or stop >= end:
-                    break
-                raw = buf[pos:sp]
-                if raw in seen:
-                    break
-                seen.add(raw)
-                if keep is None or raw in keep:
-                    tokens.append(raw.decode("utf-8", "surrogateescape"))
-                    out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
-                    n += 1
-                pos = stop + (buf[stop] == 10)
-            else:
-                i = rows
-            if i == count:
-                break
-            # entry i, one at a time: the only code that refills buf or
-            # raises.  Read until buf holds the token, its row and one byte
-            # more (the optional newline), or until the file ends; a refill
-            # keeps the entry's unread bytes, so every offset is base + index
-            # into buf.  Entry `rows` cannot hold its row, so its token is
-            # enough.
-            while True:
-                sp = buf.find(b" ", pos, pos + limit + 1)
-                if sp >= 0:
+        for i in range(count):
+            sp = buf.find(b" ", pos, pos + limit + 1)
+            stop = sp + 1 + row_bytes
+            if sp < 0 or stop >= end:
+                # the entry is not wholly in buf with a byte after its row (its
+                # optional newline): read until it is, or until the file ends;
+                # a refill keeps the entry's unread bytes, so every offset is
+                # base + index into buf.  Entry `rows` cannot hold its row, so
+                # its token is enough.
+                while not eof and (end - pos <= limit if sp < 0 else stop >= end and i < rows):
+                    # free the old buffer before reading
+                    tail, base, buf = buf[pos:], base + pos, None
+                    buf = tail + fh.read(_CHUNK)
+                    pos, end, eof = 0, len(buf), len(buf) == len(tail)
+                    sp = buf.find(b" ", pos, pos + limit + 1)
                     stop = sp + 1 + row_bytes
-                    if stop < len(buf) or eof or i == rows:
-                        break
-                elif len(buf) - pos > limit or eof:
-                    break
-                tail, base, buf = buf[pos:], base + pos, None  # free the old buffer before reading
-                buf = tail + fh.read(_CHUNK)
-                pos, eof = 0, len(buf) == len(tail)
-            if sp < 0:
-                if len(buf) - pos > limit:
-                    raise MalformedHeaderError(
-                        f"no delimiter within {limit} bytes", offset=base + pos
+                if sp < 0:
+                    if end - pos > limit:
+                        raise MalformedHeaderError(
+                            f"no delimiter within {limit} bytes", offset=base + pos
+                        )
+                    if pos == end:
+                        raise CountMismatchError(
+                            f"header promises {count} entries but the file has {i}",
+                            offset=base + pos,
+                        )
+                    raise TruncatedFileError("file ends mid-token", offset=base + pos)
+                if stop > end and buf[pos:sp] not in seen:  # a repeat is reported as one
+                    raise TruncatedFileError(
+                        f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
                     )
-                if pos == len(buf):
-                    raise CountMismatchError(
-                        f"header promises {count} entries but the file has {i}",
-                        offset=base + pos,
-                    )
-                raise TruncatedFileError("file ends mid-token", offset=base + pos)
+                need = min(most, n + (end - pos) // (row_bytes + 1))  # n once all of buf is copied
+                if need * row_bytes > len(out):
+                    grown = np.empty(min(most, max(need, 2 * n)) * dim, dtype="<f4")
+                    grown[:n * dim] = matrix[:n * dim]
+                    matrix, out = grown, memoryview(grown).cast("B")
             raw = buf[pos:sp]
             if raw in seen:
                 token = raw.decode("utf-8", errors="surrogateescape")
                 raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
             seen.add(raw)
-            if stop > len(buf):
-                raise TruncatedFileError(
-                    f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
-                )
             if keep is None or raw in keep:
                 tokens.append(raw.decode("utf-8", errors="surrogateescape"))
                 out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
                 n += 1
-            pos = stop + (buf[stop:stop + 1] == b"\n")
-            i += 1
-        if pos < len(buf) or fh.read(1):
+            pos = stop + (buf[stop] == 10) if stop < end else stop
+        if pos < end or fh.read(1):
             raise CountMismatchError(
                 f"file continues past the {count} promised entries", offset=base + pos
             )

@@ -212,6 +212,12 @@ def _check_folds(k: int) -> None:
         raise ValueError(f"need at least 2 folds, got {k}")
 
 
+def _check_threads(n: int) -> None:
+    """Reject a thread count below 1; needs no data, so callers check it before loading."""
+    if n < 1:
+        raise ValueError(f"threads must be >= 1, got {n}")
+
+
 def make_folds(dataset: WordPairDataset, k: int, seed: int) -> WordPairDataset:
     """Shuffled k-fold split with lexically disjoint train/test sets."""
     if dataset.folds is not None:
@@ -417,6 +423,7 @@ def run_eval(request: EvalRequest) -> EvalReport:
     """Score every requested method and aggregate both metrics into a report."""
     methods = tuple(request.methods)
     readings = _method_readings(methods, request.shift)
+    _check_threads(request.threads)
 
     if request.dataset.folds is not None:
         raise ValueError("dataset already has folds; run_eval builds them from k_folds and seed")

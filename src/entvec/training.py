@@ -86,6 +86,8 @@ class MappingModel:
         if not np.all(np.isfinite(self.W)):
             raise ValueError("W contains non-finite entries")
         self.tau = float(self.tau)
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         _check_op(self.op)
 
     @property
@@ -248,7 +250,10 @@ def load_model(path) -> MappingModel:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            values = [float(v) for v in line.split()]
+            try:
+                values = [float(v) for v in line.split()]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if len(values) != d_in:
                 raise ValueError(f"line {lineno}: expected {d_in} values, got {len(values)}")
             rows.append(values)

@@ -1,21 +1,32 @@
 """``load_binary`` against a plain reader, on files of many entries per buffer.
 
-The loader reads most entries in a tight pass over each buffer and falls
-back to entry-by-entry code only where an entry may be incomplete, a
-duplicate or an error.  These files hold thousands of entries, so both
-paths run at every chunk size, and their layouts hold what the format
-allows and a careless scan gets wrong: entries with and without the
-optional newline, an empty token, tokens that begin with a newline,
-tokens that are not UTF-8, and 0x20 bytes inside row data.
+The loader takes every entry in one loop.  An entry that is not wholly in
+the buffer with a byte after its row goes through one branch that refills
+the buffer and raises the format's errors; every other entry skips it.
+These files hold thousands of entries, so both ways run at every chunk
+size, and their layouts hold what the format allows and a careless scan
+gets wrong: entries with and without the optional newline, an empty
+token, tokens that begin with a newline, tokens that are not UTF-8, and
+0x20 bytes inside row data.  The loader reads a stream, which cannot
+seek, to the same table and errors as a regular file.
 """
+
+import os
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 from entvec import embeddings
-from entvec.embeddings import DuplicateTokenError, TruncatedFileError, load_binary
+from entvec.embeddings import (
+    CountMismatchError,
+    DuplicateTokenError,
+    TruncatedFileError,
+    load_binary,
+)
 
-from test_corruption import ABSENT
+from test_corruption import ABSENT, outcome
 
 DIM = 3
 ROW = 4 * DIM
@@ -124,3 +135,63 @@ def test_truncation_near_a_chunk_boundary(tmp_path, monkeypatch, layout):
             with pytest.raises(TruncatedFileError, match="inside a") as exc_info:
                 load_binary(path, keep=keep)
             assert exc_info.value.offset == at + len(token) + 1, chunk
+
+
+@pytest.mark.parametrize("layout", ["all", "none"])
+def test_a_repeat_cut_short_is_reported_as_a_repeat(tmp_path, monkeypatch, layout):
+    # the duplicate check comes before the row's truncation
+    data, table = build(layout, seed=8)
+    token, row, at = table[-1]
+    dup = next(t for t, _, _ in table[100:] if not t.startswith(b"\n"))
+    path = tmp_path / "dup-cut.bin"
+    path.write_bytes(data[:at] + dup + b" " + row[:ROW // 2])
+    for chunk in CHUNKS:
+        monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+        for keep in (None, ABSENT):
+            with pytest.raises(DuplicateTokenError) as exc_info:
+                load_binary(path, keep=keep)
+            assert exc_info.value.offset == at, chunk
+
+
+def load_stream(data, fifo, keep=None):
+    """``load_binary`` of ``data`` written into the FIFO ``fifo``, which cannot seek."""
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return load_binary(fifo, keep=keep)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+
+
+@needs_fifo
+def test_a_stream_loads_as_the_file_does(tmp_path, monkeypatch):
+    data, table = build("mixed", seed=3)
+    path, fifo = tmp_path / "many.bin", tmp_path / "stream.bin"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+    subset = {t.decode("utf-8", "surrogateescape") for t, _, _ in table[::7]}
+    for chunk in (1, 64, 4096, embeddings._CHUNK):
+        monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+        for keep in (None, subset, ABSENT):
+            want = outcome(load_binary, path, keep)
+            assert isinstance(want[0], list)  # a table, not an error
+            assert outcome(partial(load_stream, data), fifo, keep) == want, (chunk, keep)
+
+
+@needs_fifo
+def test_a_stream_with_a_lying_header_reports_the_missing_entries(tmp_path, monkeypatch):
+    # the header's count does not size the matrix of a stream
+    data = b"4000000000 300\ndog " + bytes(1200) + b"\n"
+    path, fifo = tmp_path / "lying.bin", tmp_path / "stream.bin"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+        for keep in (None, ABSENT):
+            want = outcome(load_binary, path, keep)
+            assert want[:2] == (CountMismatchError, len(data))
+            assert outcome(partial(load_stream, data), fifo, keep) == want, (chunk, keep)

@@ -275,6 +275,8 @@ def test_all_oov_pairs_are_named_for_either_format(capsys, tmp_path, command, fm
     (["train", "--out-dir", "/nonexistent", "--epochs", "0"], "epochs must be >= 1, got 0"),
     (["eval", "--methods", "dot,mapped-dif", "--train", "--folds", "1"],
      "need at least 2 folds, got 1"),
+    (["eval", "--methods", "dot,dif", "--threads", "-4"],
+     "threads must be >= 1, got -4"),
     (["train", "--out-dir", "/nonexistent", "--folds", "1"], "need at least 2 folds, got 1"),
     (["graph", "--tol", "-1"], "tol must be positive, got -1.0"),
     (["graph", "--damping", "1"], "damping must be in [0, 1), got 1.0"),

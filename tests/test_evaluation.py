@@ -442,6 +442,12 @@ class TestRunEval:
         with pytest.raises(ValueError, match="no methods"):
             run_eval(EvalRequest(dataset, table, methods=()))
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        dataset, table = toy_fixture()
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_eval(EvalRequest(dataset, table, methods=("dot", "dif"), threads=threads))
+
     def test_mapped_method_end_to_end(self):
         rng = np.random.default_rng(42)
         tokens, pairs = [], []

@@ -80,6 +80,9 @@ class TestMappingModel:
             MappingModel(W=np.full((2, 2), np.nan), tau=0.0)
         with pytest.raises(ValueError):
             MappingModel(W=np.zeros((2, 2)), tau=0.0, op="cosine")
+        for tau in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                MappingModel(W=np.eye(2), tau=tau)
 
 
 class TestInitMapping:
@@ -301,4 +304,17 @@ class TestModelSerialization:
         path = tmp_path / "m.model"
         path.write_text("1 3 0.0 dif\n1 2\n")
         with pytest.raises(ValueError, match="expected 3 values"):
+            load_model(path)
+
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("2 2 0.0 dif\n1 2\n\n1 x\n")
+        with pytest.raises(ValueError, match="^line 4: could not convert string to float: 'x'$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tau(self, tmp_path, tau):
+        path = tmp_path / "m.model"
+        path.write_text(f"2 2 {tau} bwd\n1 0\n0 1\n")
+        with pytest.raises(ValueError, match="tau must be finite"):
             load_model(path)
