@@ -61,15 +61,16 @@ def _add_embeddings_flags(sub) -> None:
 
 
 def _add_train_flags(sub) -> None:
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--step-size", type=float, default=0.1)
-    sub.add_argument("--batch-size", type=int, default=32)
-    sub.add_argument("--l2", type=float, default=0.0)
-    sub.add_argument("--d-out", type=int, default=None,
+    sub.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    sub.add_argument("--step-size", type=float, default=training.TrainConfig.step_size)
+    sub.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)
+    sub.add_argument("--l2", type=float, default=training.TrainConfig.l2)
+    sub.add_argument("--d-out", type=int, default=training.TrainConfig.d_out,
                      help="mapped dimension (default: input dimension)")
 
 
 def build_parser() -> _Parser:
+    shift = interpret.Interpretation.shift  # each default is read from the library's object
     parser = _Parser(prog="entvec",
                      description="entailment operators, graph inference and "
                                  "hyponymy evaluation for word embeddings")
@@ -79,7 +80,7 @@ def build_parser() -> _Parser:
     _add_embeddings_flags(p)
     p.add_argument("--interp", default="logodds", choices=("logodds", "dup", "unkdup"))
     p.add_argument("--op", default="bwd", choices=("fwd", "bwd", "fact"))
-    p.add_argument("--shift", type=float, default=1.0, help="unkdup shift")
+    p.add_argument("--shift", type=float, default=shift, help="unkdup shift")
     p.add_argument("hypo", help="hyponym (entailing word)")
     p.add_argument("hyper", help="hypernym (entailed word)")
 
@@ -88,10 +89,10 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", required=True, help="hypo<TAB>hyper<TAB>label file")
     p.add_argument("--methods", required=True,
                    help="comma-separated method names, e.g. 'unkdup-bwd,dot'")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shift", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--folds", type=int, default=evaluation.EvalRequest.k_folds)
+    p.add_argument("--seed", type=int, default=evaluation.EvalRequest.seed)
+    p.add_argument("--shift", type=float, default=shift)
+    p.add_argument("--threads", type=int, default=evaluation.EvalRequest.threads)
     p.add_argument("--train", action="store_true",
                    help="allow mapped-* methods (trains per fold)")
     _add_train_flags(p)
@@ -99,25 +100,25 @@ def build_parser() -> _Parser:
     p = subs.add_parser("train", help="train per-fold mappings and save them")
     _add_embeddings_flags(p)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--op", default="bwd", choices=("fwd", "bwd", "fact", "dif"))
+    p.add_argument("--op", default=training.MappingModel.op, choices=("fwd", "bwd", "fact", "dif"))
     p.add_argument("--out-dir", required=True, help="directory for fold<i>.model files")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, default=evaluation.EvalRequest.k_folds)
+    p.add_argument("--seed", type=int, default=evaluation.EvalRequest.seed)
     _add_train_flags(p)
 
     p = subs.add_parser("graph", help="solve an entailment graph file")
     p.add_argument("--file", required=True)
-    p.add_argument("--max-sweeps", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--clamp", type=float, default=30.0)
+    p.add_argument("--max-sweeps", type=int, default=graph.SolverConfig.max_sweeps)
+    p.add_argument("--tol", type=float, default=graph.SolverConfig.tol)
+    p.add_argument("--damping", type=float, default=graph.SolverConfig.damping)
+    p.add_argument("--clamp", type=float, default=graph.SolverConfig.clamp)
 
     p = subs.add_parser("gradgrid", help="emit a training-gradient grid")
     p.add_argument("--model", required=True, choices=interpret.GRID_MODELS)
     p.add_argument("--range", nargs=3, type=float, required=True,
                    metavar=("LO", "HI", "STEP"),
                    help="grid range for both axes")
-    p.add_argument("--shift", type=float, default=1.0)
+    p.add_argument("--shift", type=float, default=shift)
 
     return parser
 

@@ -21,12 +21,13 @@ rejected; callers that may hold +/-inf should clamp first (see
 ``clamp_log_odds``).
 
 Every exp and log in the forward and backward operators, and every
-sigmoid in the factorized one, is a function of a single vector, so the
-operators are computed from per-vector tables: sigma(v), sigma(-v),
-log sigma(v) and log sigma(-v), built by one private helper that shares
-z = exp(-|v|), 1 + z and log1p(z) between v and -v and computes only the
-tables a call reads.  ``sigmoid`` and ``log_sigmoid`` are that helper too, so the
-values are the same bits everywhere.  With ``pairs=(i, j)`` an operator
+sigmoid in the factorized one, is a function of a single vector.  So each
+operator reads one table of y and one of x, each sigma(v), sigma(-v),
+log sigma(v) or log sigma(-v), and its terms are their product.  One
+private helper builds the tables; it shares z = exp(-|v|), 1 + z and
+log1p(z) between v and -v and computes only the tables a call reads.
+``sigmoid`` and ``log_sigmoid`` are that helper too, so the values are
+the same bits everywhere.  With ``pairs=(i, j)`` an operator
 scores row i of its first argument against row j of its second: it
 builds the tables once per distinct argument array (once in all when
 both arguments are the same array, say a matrix of distinct words),
@@ -187,23 +188,21 @@ def _pair_rows(score, pairs, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-# the tables each operator reads of the entailing vector y and the entailed vector x
+# the one table each operator reads of the entailing vector y and of the entailed vector x
 _OPERATOR_TABLES = {
-    "fwd": (("log_sigmoid",), ("sigmoid",)),
-    "bwd": (("sigmoid_neg",), ("log_sigmoid_neg",)),
-    "fact": (("sigmoid_neg",), ("sigmoid",)),
+    "fwd": ("log_sigmoid", "sigmoid"),
+    "bwd": ("sigmoid_neg", "log_sigmoid_neg"),
+    "fact": ("sigmoid_neg", "sigmoid"),
 }
 
 
-def _terms(op: str, ty: dict, tx: dict) -> np.ndarray:
-    """Per-dimension terms of "y entails x" under ``op`` from the tables of y and x."""
-    if op == "fwd":
-        return tx["sigmoid"] * ty["log_sigmoid"]
-    if op == "bwd":
-        return ty["sigmoid_neg"] * tx["log_sigmoid_neg"]
-    fail = ty["sigmoid_neg"] * tx["sigmoid"]
-    np.minimum(fail, MAX_FAILURE_PROB, out=fail)
-    return np.log1p(-fail)
+def _terms(op: str, ty: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Per-dimension terms of "y entails x" under ``op`` from its tables of y and x."""
+    terms = ty * tx
+    if op != "fact":
+        return terms
+    np.minimum(terms, MAX_FAILURE_PROB, out=terms)  # the failure probability, capped
+    return np.log1p(-terms)
 
 
 def _score_grads(op: str, y, x):
@@ -227,7 +226,8 @@ def _score_grads(op: str, y, x):
         q = np.minimum(ty["sigmoid_neg"] * tx["sigmoid"], MAX_FAILURE_PROB)
         dy = ty["sigmoid_neg"] * ty["sigmoid"] * tx["sigmoid"] / (1.0 - q)
         dx = -ty["sigmoid_neg"] * tx["sigmoid"] * tx["sigmoid_neg"] / (1.0 - q)
-    return _terms(op, ty, tx).sum(axis=-1), dy, dx
+    name_y, name_x = _OPERATOR_TABLES[op]
+    return _terms(op, ty[name_y], tx[name_x]).sum(axis=-1), dy, dx
 
 
 def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs):
@@ -236,16 +236,15 @@ def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs):
     Each table is evaluated once per distinct array (once in all when y is
     x), then gathered to pair rows block by block.
     """
-    need_y, need_x = _OPERATOR_TABLES[op]
+    name_y, name_x = _OPERATOR_TABLES[op]
     if y is x:
-        ty = tx = _tables(y, *need_y, *need_x)
+        ty = tx = _tables(y, name_y, name_x)
     else:
-        ty, tx = _tables(y, *need_y), _tables(x, *need_x)
+        ty, tx = _tables(y, name_y), _tables(x, name_x)
+    ty, tx = ty[name_y], tx[name_x]
     if pairs is not None:
-        return _pair_rows(
-            lambda i, j: _terms(op, {n: ty[n][i] for n in need_y},
-                                {n: tx[n][j] for n in need_x}).sum(axis=-1),
-            pairs, y.shape[1])
+        return _pair_rows(lambda i, j: _terms(op, ty[i], tx[j]).sum(axis=-1),
+                          pairs, y.shape[1])
     total = _terms(op, ty, tx).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 

@@ -18,7 +18,8 @@ entailment operators read the raw coordinates as log-odds.
 Binary tokens round-trip byte for byte, invalid UTF-8 included
 (``surrogateescape``); the text format is strict UTF-8 and raises
 UnicodeEncodeError on such a token.  Reading a text file that is not
-valid UTF-8 raises TextFormatError naming the line.
+valid UTF-8 raises TextFormatError naming the line.  A writer refuses
+a token its loader would misread, with ValueError, before it opens the file.
 
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
 and copies each row straight into a preallocated float32 matrix; what it
@@ -62,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 _CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
+_MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
 __all__ = [
     "EmbeddingTable",
@@ -119,8 +121,8 @@ class TextFormatError(EmbeddingFormatError):
 class EmbeddingTable:
     """Immutable token -> vector table; rows float32, lookups float64.
 
-    A table may be empty (a load whose ``keep`` matches no token gives
-    one); every lookup in it misses.
+    It shares memory with a float32 matrix it is given, through a read-only
+    view.  A table may be empty (a load whose ``keep`` matches no token gives one).
     """
 
     def __init__(self, tokens, matrix):
@@ -139,7 +141,7 @@ class EmbeddingTable:
                 if tok in seen:
                     raise DuplicateTokenError(f"duplicate token {tok!r}")
                 seen.add(tok)
-        self._matrix = matrix
+        self._matrix = matrix.view()
         self._matrix.setflags(write=False)
 
     @property
@@ -228,7 +230,7 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         buf = b""
         pos = end = 0  # start of the current entry in buf, and len(buf)
         eof = False
-        limit = 1 << 16  # longest token, in bytes
+        limit = _MAX_TOKEN_BYTES
         for i in range(count):
             sp = buf.find(b" ", pos, pos + limit + 1)
             stop = sp + 1 + row_bytes
@@ -284,10 +286,18 @@ def load_binary(path, keep=None) -> EmbeddingTable:
 
 
 def write_binary(table: EmbeddingTable, path) -> None:
+    """Write the binary format; a token that ``load_binary`` would not read back
+    as itself raises ValueError before the file is opened."""
+    raws = [token.encode("utf-8", errors="surrogateescape") for token in table.tokens]
+    for row, (token, raw) in enumerate(zip(table.tokens, raws)):
+        if (b" " in raw or len(raw) > _MAX_TOKEN_BYTES
+                or raw.decode("utf-8", errors="surrogateescape") != token):
+            raise ValueError(f"row {row}: token {token!r} would not load back from a binary file "
+                             f"(a space, over {_MAX_TOKEN_BYTES} bytes, or another token's bytes)")
     with open(path, "wb") as fh:
         fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
-        for token, row in zip(table.tokens, table.matrix):
-            fh.write(token.encode("utf-8", errors="surrogateescape") + b" ")
+        for raw, row in zip(raws, table.matrix):
+            fh.write(raw + b" ")
             fh.write(row.astype("<f4").tobytes())
             fh.write(b"\n")
 
@@ -371,7 +381,12 @@ def load_text(path, keep=None) -> EmbeddingTable:
 
 
 def write_text(table: EmbeddingTable, path) -> None:
-    """Write the text format; %.9g keeps float32 values bit-exact on reload."""
+    """Write the text format; %.9g keeps float32 values bit-exact on reload.  A token
+    that is empty, holds whitespace or is not UTF-8 raises before the file is opened."""
+    for row, token in enumerate(table.tokens):
+        if token.split() != [token]:
+            raise ValueError(f"row {row}: token {token!r} is empty or holds whitespace")
+        token.encode("utf-8")  # UnicodeEncodeError unless strict UTF-8
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         # Python floats from tolist() format faster than numpy scalars

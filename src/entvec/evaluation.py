@@ -25,7 +25,7 @@ Method tokens understood by ``run_eval``:
 
   logodds-fwd, logodds-bwd, logodds-fact, dup-bwd, unkdup-bwd,
   unkdup-fact   (entailment operators under an interpretation)
-  dot, dif, wcos                     (untrained baselines)
+  dot, dif, wcos                     (untrained baselines, ``baseline_score``)
   mapped-fwd, mapped-bwd, mapped-fact, mapped-dif
                                      (linear mapping trained per fold)
 
@@ -271,7 +271,7 @@ def _hyper_rank_weights(hyper: np.ndarray) -> np.ndarray:
 
 
 def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
-    """Untrained scorers: dot, cosine, dif (hyper minus hypo) and wcos (weighted cosine).
+    """Untrained scorers: dot, dif (hyper minus hypo) and wcos (weighted cosine).
 
     Weighted cosine emphasizes the hypernym's larger coordinates: both
     vectors are reweighted by w_k = (D - rank_k)/D, where rank_k is the
@@ -281,8 +281,8 @@ def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
     ``hyper_vec``; the rank weights are computed once per hypernym row,
     before the rows are gathered.
     """
-    if kind not in ("dot", "dif", "cosine", "wcos"):
-        raise ValueError(f"unknown baseline {kind!r}; expected dot, dif, cosine or wcos")
+    if kind not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline {kind!r}; expected dot, dif or wcos")
     h = np.asarray(hypo_vec, dtype=np.float64)
     g = h if hyper_vec is hypo_vec else np.asarray(hyper_vec, dtype=np.float64)
     if pairs is None and h.shape != g.shape:
@@ -306,13 +306,11 @@ def _baseline(kind, h, g, w):
         return np.sum(h * g, axis=-1)
     if kind == "dif":
         return np.sum(g - h, axis=-1)
-    if w is None:
-        w = np.ones_like(g)
     num = np.sum(w * h * g, axis=-1)
     h_norm = np.sqrt(np.sum(w * h * h, axis=-1))
     g_norm = np.sqrt(np.sum(w * g * g, axis=-1))
     if np.any(h_norm == 0.0) or np.any(g_norm == 0.0):
-        raise ValueError(f"{kind} is undefined for zero-weight-norm vectors")
+        raise ValueError("wcos is undefined for zero-weight-norm vectors")
     return num / (h_norm * g_norm)
 
 
@@ -350,22 +348,14 @@ class EvalReport:
 
     def to_csv(self) -> str:
         lines = ["method,acc50,dir_acc,threshold,n,oov_dropped"]
-        for r in self.rows:
-            lines.append(
-                f"{r.method},{r.acc50:.4f},{r.dir_acc:.4f},{r.threshold:.4f},"
-                f"{r.n_scored},{r.n_dropped_oov}"
-            )
+        lines += (f"{r.method},{r.acc50:.4f},{r.dir_acc:.4f},{r.threshold:.4f},"
+                  f"{r.n_scored},{r.n_dropped_oov}" for r in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        headers = ("method", "acc50", "dir_acc", "threshold", "n", "oov_dropped")
-        cells = [headers]
-        for r in self.rows:
-            cells.append((
-                r.method, f"{r.acc50:.4f}", f"{r.dir_acc:.4f}",
-                f"{r.threshold:.4f}", str(r.n_scored), str(r.n_dropped_oov),
-            ))
-        widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+        """The cells of ``to_csv``, aligned in columns."""
+        cells = [line.split(",") for line in self.to_csv().splitlines()]
+        widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
         lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
         return "\n".join(lines) + "\n"
 
@@ -392,14 +382,6 @@ def _method_readings(methods, shift) -> dict:
             raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
     return {m: interpret.Interpretation(OPERATOR_METHODS[m][0].kind, shift)
             for m in methods if m in OPERATOR_METHODS}
-
-
-def _unsupervised_scores(method, words, pairs, reading):
-    """Scores of a method on the rows ``pairs`` of ``words``; ``reading`` is
-    an operator method's Interpretation, None for a baseline."""
-    if reading is None:
-        return baseline_score(method, words, words, pairs=pairs)
-    return interpret.pair_score(words, words, reading, OPERATOR_METHODS[method][1], pairs=pairs)
 
 
 def _mapped_scores(method, folds, rows, train_config):
@@ -442,9 +424,11 @@ def run_eval(request: EvalRequest) -> EvalReport:
     def one(method):
         if method in MAPPED_METHODS:
             scores, rev = _mapped_scores(method, dataset.folds, resolved, request.train_config)
+        elif method in readings:
+            scores, rev = np.split(interpret.pair_score(
+                words, words, readings[method], OPERATOR_METHODS[method][1], pairs=both), 2)
         else:
-            scores, rev = np.split(
-                _unsupervised_scores(method, words, both, readings.get(method)), 2)
+            scores, rev = np.split(baseline_score(method, words, words, pairs=both), 2)
         acc50, threshold = fifty_percent_accuracy(scores, labels)
         dir_acc = _direction_credit(scores[pos_mask], rev[pos_mask])
         return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)

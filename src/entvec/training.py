@@ -141,10 +141,10 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     return np.sum(g - h, axis=-1)
 
 
-def predict(model: MappingModel, hypo_vec, hyper_vec) -> float:
-    """Probability that the pair is a true hyponym pair: sigma(score - tau)."""
-    s = raw_scores(model, hypo_vec, hyper_vec)
-    return float(sigmoid(s[0] - model.tau))
+def predict(model: MappingModel, hypo_vec, hyper_vec):
+    """P(true hyponym pair) = sigma(score - tau): per row of (n, d_in) inputs, a float for 1-d."""
+    p = sigmoid(raw_scores(model, hypo_vec, hyper_vec) - model.tau)
+    return float(p[0]) if np.ndim(hypo_vec) < 2 else p
 
 
 def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets, l2: float):

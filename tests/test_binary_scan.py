@@ -40,8 +40,11 @@ def build(layout, seed, entries=3000):
     newline = {"all": [True] * entries, "none": [False] * entries,
                "mixed": (rng.random(entries) < 0.5).tolist()}[layout]
     alphabet = np.array([b for b in range(256) if b not in b" \n"], np.uint8)
+    # a random prefix, then the index at a fixed width: two tokens of one
+    # length end in one index, so no two entries share a token
+    width = len(str(entries))
     tokens = [alphabet[rng.integers(len(alphabet), size=int(rng.integers(0, 12)))].tobytes()
-              + str(k).encode() for k in range(entries)]
+              + str(k).zfill(width).encode() for k in range(entries)]
     tokens[5] = b""
     tokens[6] = "café".encode()  # the bytes of one ABSENT token, under another string
     tokens[7] = b"\xff\xfe" + tokens[7]  # not UTF-8

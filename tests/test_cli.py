@@ -304,7 +304,8 @@ def test_only_the_scored_words_are_loaded(capsys, tmp_path, monkeypatch, command
             "train": ["train", "--pairs", pairs, "--folds", "2", "--epochs", "1",
                       "--out-dir", str(tmp_path / "m")]}[command]
     assert main(argv + ["--embeddings", vectors]) == 0
-    words = {w for line in open(pairs, encoding="utf-8") for w in line.split("\t")[:2]}
+    with open(pairs, encoding="utf-8") as fh:
+        words = {w for line in fh for w in line.split("\t")[:2]}
     assert loads == [{"puppy", "dog"} if command == "score" else words]
 
 

@@ -71,6 +71,14 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 0.0
 
+    def test_shares_the_callers_matrix_and_leaves_it_writable(self):
+        matrix = np.zeros((2, 3), np.float32)
+        table = EmbeddingTable(["a", "b"], matrix)
+        assert matrix.flags.writeable and not table.matrix.flags.writeable
+        assert np.shares_memory(table.matrix, matrix)
+        matrix[1, 2] = 7.0
+        assert table.lookup("b")[2] == 7.0
+
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateTokenError):
             EmbeddingTable(["a", "a"], np.zeros((2, 1), dtype=np.float32))
@@ -362,6 +370,72 @@ class TestTextFormat:
         path.write_text("7 1\nalpha 2\n")
         with pytest.raises(CountMismatchError):
             load_text(path)
+
+
+class TestWritersCheckTokens:
+    """Each writer writes only files its loader reads back as the table."""
+
+    SURROGATE = b"\xff".decode("utf-8", "surrogateescape")  # the token of a lone 0xFF byte
+
+    @pytest.mark.parametrize("token", ["", "\nx", "a\tb", "a\xa0b", "\x00", SURROGATE,
+                                       "x" * 65536],
+                             ids=["empty", "newline-first", "tab", "nbsp", "nul", "not-utf8",
+                                  "65536-bytes"])
+    def test_binary_round_trips_awkward_tokens(self, tmp_path, token):
+        table = EmbeddingTable([token, "z"], np.array([[1, 2], [3, 4]], np.float32))
+        path = tmp_path / "vecs.bin"
+        write_binary(table, path)
+        loaded = load_binary(path)
+        assert loaded.tokens == [token, "z"]
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+    @pytest.mark.parametrize("token", ["a\x00b", "\u00e9t\u00e9", "x" * 1000, "-1", "2"],
+                             ids=["nul", "utf8", "long", "negative", "digit"])
+    def test_text_round_trips_tokens_split_keeps_whole(self, tmp_path, token):
+        table = EmbeddingTable(["z", token], np.array([[1, 2], [3, 4]], np.float32))
+        path = tmp_path / "vecs.txt"
+        write_text(table, path)
+        loaded = load_text(path)
+        assert loaded.tokens == ["z", token]
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+    @pytest.mark.parametrize("write, token, match", [
+        (write_binary, "a b", "would not load back from a binary file"),
+        (write_binary, "x" * 65537, "over 65536 bytes"),
+        (write_binary, "caf\udcc3\udca9", "another token's bytes"),  # the bytes of 'café'
+        (write_text, "", "is empty or holds whitespace"),
+        (write_text, "\nx", "is empty or holds whitespace"),
+        (write_text, "a\tb", "is empty or holds whitespace"),
+        (write_text, "a\xa0b", "is empty or holds whitespace"),
+        (write_text, "a b", "is empty or holds whitespace"),
+    ], ids=["binary-space", "binary-65537-bytes", "binary-bytes-of-another", "text-empty",
+            "text-newline-first", "text-tab", "text-nbsp", "text-space"])
+    def test_refuses_a_token_its_loader_misreads(self, tmp_path, write, token, match):
+        table = EmbeddingTable(["ok", token], np.zeros((2, 2), np.float32))
+        path = tmp_path / "vecs.out"
+        with pytest.raises(ValueError, match=match) as exc_info:
+            write(table, path)
+        assert str(exc_info.value).startswith(f"row 1: token {token!r} ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write, token", [
+        (write_binary, "\ud800"), (write_text, "\ud800"), (write_text, SURROGATE),
+    ], ids=["binary-surrogate", "text-surrogate", "text-not-utf8"])
+    def test_unencodable_token_raises_before_the_file_is_opened(self, tmp_path, write, token):
+        table = EmbeddingTable(["ok", token], np.zeros((2, 2), np.float32))
+        path = tmp_path / "vecs.out"
+        path.write_bytes(b"old contents")
+        with pytest.raises(UnicodeEncodeError):
+            write(table, path)
+        assert path.read_bytes() == b"old contents"
+
+    @pytest.mark.parametrize("write", [write_binary, write_text])
+    def test_a_refused_table_leaves_the_target_untouched(self, tmp_path, write):
+        path = tmp_path / "vecs.out"
+        path.write_bytes(b"old contents")
+        with pytest.raises(ValueError):
+            write(EmbeddingTable(["ok", "a b"], np.zeros((2, 2), np.float32)), path)
+        assert path.read_bytes() == b"old contents"
 
 
 class TestLoadEmbeddings:

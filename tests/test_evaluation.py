@@ -7,6 +7,7 @@ from entvec import interpret
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import (
     ALL_METHODS,
+    BASELINE_METHODS,
     OPERATOR_METHODS,
     DatasetFormatError,
     EvalReport,
@@ -250,9 +251,11 @@ class TestBaselineScore:
     def test_weighted_cos_self_similarity(self):
         assert baseline_score("wcos", [2, 1], [2, 1]) == pytest.approx(1.0, rel=1e-12)
 
-    def test_cosine(self):
-        assert baseline_score("cosine", [1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-12)
-        assert baseline_score("cosine", [1, 1], [2, 2]) == pytest.approx(1.0, rel=1e-12)
+    def test_cosine_is_not_a_baseline(self):
+        # unweighted cosine is no eval method, so baseline_score refuses it too
+        with pytest.raises(ValueError, match="'cosine'; expected dot, dif or wcos"):
+            baseline_score("cosine", [1.0, 1.0], [2.0, 2.0])
+        assert BASELINE_METHODS == ("dot", "dif", "wcos")
 
     def test_weighted_cos_weights_follow_hypernym_ranks(self):
         # hyper [3, 1]: weights (2-0)/2=1 for dim 0 and (2-1)/2=0.5 for dim 1
@@ -284,16 +287,17 @@ class TestBaselineScore:
         assert _hyper_rank_weights(hyper).tobytes() == want.tobytes()
 
     def test_zero_vector_errors(self):
-        with pytest.raises(ValueError):
-            baseline_score("cosine", [0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        # a zero vector on either side has a zero weighted norm
+        with pytest.raises(ValueError, match="wcos is undefined for zero-weight-norm"):
+            baseline_score("wcos", [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="wcos is undefined for zero-weight-norm"):
             baseline_score("wcos", [1.0, 1.0], [0.0, 0.0])
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(42)
         h = rng.normal(size=(5, 3))
         g = rng.normal(size=(5, 3))
-        for kind in ("dot", "dif", "cosine", "wcos"):
+        for kind in BASELINE_METHODS:
             batch = baseline_score(kind, h, g)
             singles = [baseline_score(kind, h[i], g[i]) for i in range(5)]
             np.testing.assert_allclose(batch, singles, rtol=1e-12)
@@ -323,13 +327,13 @@ class TestBaselinePairs:
         words[3] = 0.5                        # all tied
         return words
 
-    @pytest.mark.parametrize("kind", ["dot", "dif", "cosine", "wcos"])
+    @pytest.mark.parametrize("kind", BASELINE_METHODS)
     def test_matches_per_pair_calls(self, kind):
         words = self._words()
         got = baseline_score(kind, words, words, pairs=(self.I, self.J))
         np.testing.assert_array_equal(got, baseline_score(kind, words[self.I], words[self.J]))
 
-    @pytest.mark.parametrize("kind", ["dot", "dif", "cosine", "wcos"])
+    @pytest.mark.parametrize("kind", BASELINE_METHODS)
     def test_two_tables_and_scalar_indices(self, kind):
         hypo, hyper = self._words(), self._words()[::-1].copy()
         got = baseline_score(kind, hypo, hyper, pairs=(self.I, self.J))

@@ -108,6 +108,18 @@ class TestScoring:
         model = MappingModel(W=np.zeros((2, 3)), tau=0.0, op="dif")
         assert predict(model, np.ones(3), np.zeros(3)) == 0.5
 
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact", "dif"])
+    def test_predicts_one_probability_per_row(self, op):
+        rng = np.random.default_rng(7)
+        model = MappingModel(W=rng.normal(size=(3, 4)), tau=-0.3, op=op)
+        h, g = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        got = predict(model, h, g)
+        assert got.shape == (5,)
+        for k in range(5):
+            one = predict(model, h[k], g[k])
+            assert isinstance(one, float)
+            assert got[k] == pytest.approx(one, abs=1e-12, rel=1e-12)
+
     def test_dif_scores_sum_of_mapped_differences(self):
         rng = np.random.default_rng(42)
         model = MappingModel(W=rng.normal(size=(3, 4)), tau=0.0, op="dif")
