@@ -19,7 +19,20 @@ Binary tokens round-trip byte for byte, invalid UTF-8 included
 (``surrogateescape``); the text format is strict UTF-8 and raises
 UnicodeEncodeError on such a token.  Reading a text file that is not
 valid UTF-8 raises TextFormatError naming the line.  A writer refuses
-a token its loader would misread, with ValueError, before it opens the file.
+a token its loader would misread, and a table with no rows (its header
+count would be 0, which both loaders reject), with ValueError, before it
+opens the file.
+
+``load_text`` parses each row's values as Python floats and stores each
+kept row straight into one float32 matrix, rounded as ``np.array(values,
+np.float32)`` rounds them; a value beyond float32's range loads as +-inf,
+as the literal ``inf`` does, without a warning.  The matrix is allocated
+at the first kept row, for the header's count, but for no more rows than
+``keep`` holds or a regular file can hold (each takes at least
+``2 * dim + 1`` bytes).  Without a header, or from a stream, it starts at
+no more than ``_TEXT_ROWS`` rows, doubles in place when full and is
+trimmed to its rows before it is returned, so the table keeps no spare
+capacity.
 
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
 and copies each row straight into a preallocated float32 matrix; what it
@@ -55,14 +68,18 @@ is kept by its ``surrogateescape`` string.  ``load_binary`` copies only
 kept rows, into a matrix sized for at most ``len(keep)`` of them; the
 set of token bytes seen, kept for the duplicate check, still grows with
 the file.  A table may be empty: that is what ``keep`` gives when none of
-its tokens is in the file.
+its tokens is in the file.  Such a table cannot be written.
 """
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 _CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
+_TEXT_ROWS = 1024  # load_text's first matrix rows when no header sizes it; it doubles
 _MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
 __all__ = [
@@ -285,9 +302,16 @@ def load_binary(path, keep=None) -> EmbeddingTable:
     return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim))
 
 
+def _refuse_empty(table: EmbeddingTable) -> None:
+    if not len(table):
+        raise ValueError("cannot write a table with no rows: its header count "
+                         "would be 0, which the loaders reject")
+
+
 def write_binary(table: EmbeddingTable, path) -> None:
-    """Write the binary format; a token that ``load_binary`` would not read back
-    as itself raises ValueError before the file is opened."""
+    """Write the binary format; a table with no rows, or a token that ``load_binary``
+    would not read back as itself, raises ValueError before the file is opened."""
+    _refuse_empty(table)
     raws = [token.encode("utf-8", errors="surrogateescape") for token in table.tokens]
     for row, (token, raw) in enumerate(zip(table.tokens, raws)):
         if (b" " in raw or len(raw) > _MAX_TOKEN_BYTES
@@ -327,15 +351,31 @@ def _raise_at_bad_utf8_line(path, exc: UnicodeDecodeError, error) -> None:
     raise exc
 
 
+def _floats(values, lineno) -> list:
+    """A text row's values as Python floats, or TextFormatError at its line.
+
+    A function of its own, so the floats are made in a small code object:
+    tracemalloc looks up the line of each allocation by scanning its code
+    object, and inside load_text that made a traced load up to 4x slower.
+    """
+    try:
+        return list(map(float, values))
+    except ValueError:
+        raise TextFormatError("unparsable float in row", line=lineno) from None
+
+
 def load_text(path, keep=None) -> EmbeddingTable:
     """Read a whitespace-separated text embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else set(keep)
     tokens = []
-    rows = []
+    matrix = None  # allocated at the first kept row, once that row has proved dim
     seen = set()  # every row's token, kept or not
     expect_count = None
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # over="ignore": a value beyond float32's range stores as +-inf, silently
+    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None  # None: a stream
         try:
             for lineno, raw in enumerate(fh, start=1):
                 fields = raw.split()
@@ -361,13 +401,24 @@ def load_text(path, keep=None) -> EmbeddingTable:
                 if token in seen:
                     raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
                 seen.add(token)
-                try:
-                    values = [float(v) for v in values]
-                except ValueError:
-                    raise TextFormatError("unparsable float in row", line=lineno) from None
+                values = _floats(values, lineno)
                 if keep is None or token in keep:
+                    n = len(tokens)
+                    if matrix is None:
+                        most = _TEXT_ROWS if expect_count is None else expect_count
+                        if size is None:  # a stream: its header may promise any count
+                            most = min(most, _TEXT_ROWS)
+                        else:  # a row takes a token byte and dim values, each after a
+                            # separator; max: a file under /proc may report size 0
+                            most = min(most, max(1, size // (2 * dim + 1)))
+                        if keep is not None:
+                            most = min(most, len(keep))
+                        matrix = np.empty((most, dim), np.float32)
+                    elif n == len(matrix):
+                        # no view of the matrix exists, so it may be reallocated
+                        matrix.resize((2 * n, dim), refcheck=False)
+                    matrix[n] = values  # rounds as np.array(values, np.float32) does
                     tokens.append(token)
-                    rows.append(np.array(values, dtype=np.float32))
         except UnicodeDecodeError as exc:
             _raise_at_bad_utf8_line(path, exc, TextFormatError)
     if not seen:
@@ -376,13 +427,18 @@ def load_text(path, keep=None) -> EmbeddingTable:
         raise CountMismatchError(
             f"header promises {expect_count} entries but the file has {len(seen)}"
         )
-    matrix = np.vstack(rows) if rows else np.empty((0, dim), np.float32)
+    if matrix is None:
+        matrix = np.empty((0, dim), np.float32)
+    elif len(tokens) < len(matrix):
+        matrix.resize((len(tokens), dim), refcheck=False)  # frees the spare rows
     return EmbeddingTable(tokens, matrix)
 
 
 def write_text(table: EmbeddingTable, path) -> None:
-    """Write the text format; %.9g keeps float32 values bit-exact on reload.  A token
-    that is empty, holds whitespace or is not UTF-8 raises before the file is opened."""
+    """Write the text format; %.9g keeps float32 values bit-exact on reload.  A table
+    with no rows, or a token that is empty, holds whitespace or is not UTF-8, raises
+    before the file is opened."""
+    _refuse_empty(table)
     for row, token in enumerate(table.tokens):
         if token.split() != [token]:
             raise ValueError(f"row {row}: token {token!r} is empty or holds whitespace")

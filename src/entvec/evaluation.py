@@ -228,25 +228,26 @@ def make_folds(dataset: WordPairDataset, k: int, seed: int) -> WordPairDataset:
         raise ValueError(f"cannot split {n} pairs into {k} folds")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
+    words = [pair.tokens for pair in dataset.pairs]  # each pair's set, built once
     folds = []
     for chunk in np.array_split(perm, k):
         test = tuple(sorted(int(i) for i in chunk))
         test_vocab = set()
         for i in test:
-            test_vocab |= dataset.pairs[i].tokens
+            test_vocab |= words[i]
         test_set = set(test)
         train = []
         filtered = 0
         for i in range(n):
             if i in test_set:
                 continue
-            if dataset.pairs[i].tokens & test_vocab:
+            if words[i] & test_vocab:
                 filtered += 1
             else:
                 train.append(i)
         train_vocab = set()
         for i in train:
-            train_vocab |= dataset.pairs[i].tokens
+            train_vocab |= words[i]
         assert not (train_vocab & test_vocab), "fold vocabularies overlap"
         folds.append(Fold(train=tuple(train), test=test, n_filtered=filtered))
     assert sorted(i for f in folds for i in f.test) == list(range(n))

@@ -1,6 +1,9 @@
+import math
 import os
 import threading
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from entvec.embeddings import (
     write_binary,
     write_text,
 )
+
+from test_corruption import ABSENT, outcome
 
 
 ROW2 = np.array([1, 2], dtype="<f4").tobytes()
@@ -437,6 +442,20 @@ class TestWritersCheckTokens:
             write(EmbeddingTable(["ok", "a b"], np.zeros((2, 2), np.float32)), path)
         assert path.read_bytes() == b"old contents"
 
+    @pytest.mark.parametrize("write", [write_binary, write_text])
+    def test_refuses_a_table_with_no_rows(self, tmp_path, write):
+        # what keep= gives when no token matches; its header count, 0, would not load
+        path = tmp_path / "vecs.out"
+        path.write_bytes(b"old contents")
+        write_text(small_table(), tmp_path / "vecs.txt")
+        empty = load_text(tmp_path / "vecs.txt", keep=ABSENT)
+        with pytest.raises(ValueError, match="no rows"):
+            write(empty, path)
+        assert path.read_bytes() == b"old contents"
+        with pytest.raises(ValueError, match="no rows"):
+            write(empty, tmp_path / "new.out")
+        assert not (tmp_path / "new.out").exists()
+
 
 class TestLoadEmbeddings:
     def test_sniffs_binary(self, tmp_path):
@@ -521,6 +540,158 @@ class TestKeep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < matrix.nbytes / 4, peak
+        rows = [k for k, t in enumerate(tokens) if t in keep]
+        assert kept.tokens == [tokens[k] for k in rows]
+        assert kept.matrix.tobytes() == matrix[rows].tobytes()
+
+
+class TestTextValues:
+    F32_MAX = float(np.finfo(np.float32).max)
+    HALFWAY = 2.0 ** 128 - 2.0 ** 103  # halfway from FLT_MAX to 2**128: rounds to inf
+    BELOW_MAX = float(np.nextafter(np.float32(F32_MAX), np.float32(0)))  # as a float32
+    EDGES = [1e39, -1e39, F32_MAX, -F32_MAX, BELOW_MAX, math.nextafter(F32_MAX, 0.0),
+             math.nextafter(F32_MAX, math.inf), HALFWAY, -HALFWAY, math.nextafter(HALFWAY, 0.0),
+             1e-46, 7e-46, -7e-46, -0.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("keep", [None, {"w"}])
+    def test_beyond_float32_loads_as_inf_without_a_warning(self, tmp_path, keep):
+        path = tmp_path / "vecs.txt"
+        path.write_text("w 1e39 -1e39 0\nv 1 2 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_text(path, keep=keep)
+        assert table.tokens[0] == "w"
+        assert table.matrix[0].tolist() == [math.inf, -math.inf, 0.0]
+
+    @pytest.mark.parametrize("keep", [None, {"w"}])
+    def test_rows_round_as_numpy_casts_them(self, tmp_path, keep):
+        path = tmp_path / "vecs.txt"
+        path.write_text("w " + " ".join(map(repr, self.EDGES)) + "\n")
+        with np.errstate(over="ignore"):
+            want = np.array(self.EDGES, dtype=np.float32)
+        got = load_text(path, keep=keep).matrix[0]
+        assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+        assert got[:2].tolist() == [math.inf, -math.inf]
+
+
+class TestTextHeaders:
+    """Today's outcomes of headers that promise too much or too little."""
+
+    @pytest.mark.parametrize("text, error, line, message", [
+        # no matrix of 10**12 rows is asked for: a file of this size holds 2
+        ("1000000000000 2\na 1 2\nb 3 4\n", CountMismatchError, None,
+         "header promises 1000000000000 entries but the file has 2"),
+        ("1 10000000000\na 1 2\n", TextFormatError, 2,
+         "expected 10000000000 values, got 2 (line 2)"),
+        ("2 2\na 1 2\nb 3 4\nc 5 6\n", CountMismatchError, None,
+         "header promises 2 entries but the file has 3"),
+        # a fault on any line beats the count mismatch reported at the end
+        ("2 2\na 1 2\nb 3 4\nc 5 6\nd 7 x\n", TextFormatError, 5,
+         "unparsable float in row (line 5)"),
+    ], ids=["count-10**12", "dim-10**10", "one-row-too-many", "bad-float-after-extra-rows"])
+    @pytest.mark.parametrize("keep", [None, ABSENT, {"a", "c"}], ids=["all", "absent", "some"])
+    def test_outcome(self, tmp_path, text, error, line, message, keep):
+        path = tmp_path / "vecs.txt"
+        path.write_text(text)
+        assert outcome(load_text, path, keep) == (error, None, line, message)
+
+
+def load_text_stream(data, fifo, keep=None):
+    """``load_text`` of ``data`` written into the FIFO ``fifo``, which has no size."""
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return load_text(fifo, keep=keep)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+class TestTextStream:
+    def test_a_stream_loads_as_the_file_does(self, tmp_path):
+        # more rows than the first matrix of a stream holds, so it grows
+        rows = 3 * embeddings._TEXT_ROWS + 5
+        rng = np.random.default_rng(5)
+        tokens = [f"w{k}" for k in range(rows)]
+        path, fifo = tmp_path / "vecs.txt", tmp_path / "stream.txt"
+        write_text(EmbeddingTable(tokens, rng.standard_normal((rows, 3), np.float32)), path)
+        os.mkfifo(fifo)
+        with_header = path.read_bytes()
+        subset = set(tokens[::7])
+        for data in (with_header, with_header.split(b"\n", 1)[1]):
+            path.write_bytes(data)
+            for keep in (None, subset, ABSENT):
+                want = outcome(load_text, path, keep)
+                assert isinstance(want[0], list)  # a table, not an error
+                assert outcome(partial(load_text_stream, data), fifo, keep) == want
+
+    def test_a_stream_with_a_lying_header_reports_the_count(self, tmp_path):
+        data = b"1000000000000 2\na 1 2\nb 3 4\n"
+        path, fifo = tmp_path / "vecs.txt", tmp_path / "stream.txt"
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        for keep in (None, ABSENT):
+            want = outcome(load_text, path, keep)
+            assert want[0] is CountMismatchError
+            assert outcome(partial(load_text_stream, data), fifo, keep) == want
+
+
+class TestTextMemory:
+    """``load_text`` fills one float32 matrix: with a header it is sized once;
+    without one it grows and is trimmed, so the table keeps no spare rows."""
+
+    ROWS, DIM = 20_000, 300  # a 24 MB float32 matrix
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # single digits: Python caches one-character strings, so the traced
+        # loads allocate, and cost, little beyond the floats and the matrix
+        rng = np.random.default_rng(31)
+        tokens = [f"w{k}" for k in range(self.ROWS)]
+        matrix = rng.integers(0, 10, size=(self.ROWS, self.DIM)).astype(np.float32)
+        head = tmp_path_factory.mktemp("text") / "big.txt"
+        write_text(EmbeddingTable(tokens, matrix), head)
+        bare = head.with_name("bare.txt")
+        bare.write_bytes(head.read_bytes().split(b"\n", 1)[1])
+        return tokens, matrix, head, bare
+
+    @staticmethod
+    def traced_load(path, keep=None):
+        """The table, and the peak and retained bytes its load allocated."""
+        tracemalloc.start()
+        try:
+            table = load_text(path, keep=keep)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return table, peak, retained
+
+    def test_header_sizes_the_matrix_once(self, files):
+        tokens, matrix, head, _ = files
+        table, peak, _ = self.traced_load(head)
+        # the matrix, the tokens and the set of tokens seen: about 1.19x
+        assert peak < 1.25 * matrix.nbytes, peak / matrix.nbytes
+        assert table.tokens == tokens
+        assert table.matrix.tobytes() == matrix.tobytes()
+
+    def test_headerless_matrix_grows_and_is_trimmed(self, files):
+        tokens, matrix, _, bare = files
+        table, peak, retained = self.traced_load(bare)
+        # a matrix that doubles peaks at 1.64x, 1.80x with the tokens; per-row
+        # arrays joined by np.vstack peak at 2.37x
+        assert peak <= 2.37 * matrix.nbytes, peak / matrix.nbytes
+        # the matrix, tokens and vocabulary: 1.09x; untrimmed, it would be 1.73x
+        assert retained < 1.2 * matrix.nbytes, retained / matrix.nbytes
+        assert table.tokens == tokens
+        assert table.matrix.tobytes() == matrix.tobytes()
+
+    def test_memory_follows_the_kept_rows(self, files):
+        tokens, matrix, head, _ = files
+        keep = set(np.random.default_rng(32).choice(tokens, size=10, replace=False).tolist())
+        kept, peak, _ = self.traced_load(head, keep)
+        # mostly the set of tokens seen, which grows with the file
         assert peak < matrix.nbytes / 4, peak
         rows = [k for k, t in enumerate(tokens) if t in keep]
         assert kept.tokens == [tokens[k] for k in rows]
