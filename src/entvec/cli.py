@@ -18,8 +18,10 @@ any file is read, ``eval`` checks its methods and reading (``--methods``,
 ``--train``, ``--shift``) and ``--threads``, ``eval`` and ``train`` their
 training flags (``--epochs`` ... and ``--folds``; ``eval`` only when it trains),
 ``graph`` its solver flags (``--max-sweeps``, ``--tol``, ``--damping``,
-``--clamp``) before the graph file, and ``score`` its reading.  ``eval``
-and ``train`` then read the pairs file and ``score`` takes its two words;
+``--clamp``) before the graph file, and ``score`` its reading.  ``train``
+then creates ``--out-dir``, so a bad one is reported before any file is
+read or any fold is trained.  ``eval`` and ``train`` then read the pairs
+file and ``score`` takes its two words;
 only after that is the embedding file read, keeping just the rows of
 those words (``keep=`` of the loaders).
 So when both the pairs file and the embedding file are bad, the pairs
@@ -32,7 +34,7 @@ import argparse
 import os
 import sys
 
-from . import evaluation, graph, interpret, training
+from . import core, evaluation, graph, interpret, training
 from .embeddings import load_embeddings
 
 __all__ = ["main", "build_parser", "EMBEDDINGS_ENV_VAR"]
@@ -78,8 +80,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("score", help="score one word pair")
     _add_embeddings_flags(p)
-    p.add_argument("--interp", default="logodds", choices=("logodds", "dup", "unkdup"))
-    p.add_argument("--op", default="bwd", choices=("fwd", "bwd", "fact"))
+    p.add_argument("--interp", default="logodds", choices=interpret._KINDS)
+    p.add_argument("--op", default="bwd", choices=tuple(core._OPERATOR_TABLES))
     p.add_argument("--shift", type=float, default=shift, help="unkdup shift")
     p.add_argument("hypo", help="hyponym (entailing word)")
     p.add_argument("hyper", help="hypernym (entailed word)")
@@ -100,7 +102,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("train", help="train per-fold mappings and save them")
     _add_embeddings_flags(p)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--op", default=training.MappingModel.op, choices=("fwd", "bwd", "fact", "dif"))
+    p.add_argument("--op", default=training.MappingModel.op, choices=training._OPS)
     p.add_argument("--out-dir", required=True, help="directory for fold<i>.model files")
     p.add_argument("--folds", type=int, default=evaluation.EvalRequest.k_folds)
     p.add_argument("--seed", type=int, default=evaluation.EvalRequest.seed)
@@ -174,6 +176,7 @@ def _cmd_eval(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
     evaluation._check_folds(args.folds)
+    os.makedirs(args.out_dir, exist_ok=True)
     dataset = evaluation.load_pairs(args.pairs)
     table = load_embeddings(args.embeddings, fmt=args.format, keep=_pair_words(dataset))
     kept, dropped, *rows = evaluation.resolve_pairs(dataset.pairs, table)
@@ -182,7 +185,6 @@ def _cmd_train(args) -> int:
     kept_pairs = evaluation.WordPairDataset(pairs=[dataset.pairs[n] for n in kept])
     folded = evaluation.make_folds(kept_pairs, args.folds, args.seed)
     results = training.train(folded.folds, rows, cfg, args.op)
-    os.makedirs(args.out_dir, exist_ok=True)
     for i, trained in enumerate(results):
         path = os.path.join(args.out_dir, f"fold{i}.model")
         training.save_model(trained.model, path)

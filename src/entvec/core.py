@@ -41,7 +41,8 @@ mapped training both score through these formulas, and stay finite.
 
 Each operator's gradient with respect to y and x lives here too, next to
 its score terms: mapped training reads scores and gradients from one
-private helper that builds one set of tables for both.
+private helper that builds one set of tables for both, and that also
+scores mapped training's ``dif`` baseline, sum_k (x_k - y_k).
 """
 
 from __future__ import annotations
@@ -211,8 +212,11 @@ def _score_grads(op: str, y, x):
     Returns (scores, d scores / d y, d scores / d x) for aligned (..., d)
     arrays y and x.  One set of tables serves the score and both
     gradients; the scores are bitwise those of the public operator.
+    For ``op`` "dif" the score is sum_k (x_k - y_k), with gradients -1 and +1.
     """
     y, x = _check_pair(y, x, "y", "x", paired=False)
+    if op == "dif":
+        return np.sum(x - y, axis=-1), -np.ones_like(y), np.ones_like(x)
     if op == "fwd":
         ty, tx = _tables(y, "log_sigmoid", "sigmoid_neg"), _tables(x, "sigmoid", "sigmoid_neg")
         dx = tx["sigmoid"] * tx["sigmoid_neg"] * ty["log_sigmoid"]

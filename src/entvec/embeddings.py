@@ -23,16 +23,20 @@ a token its loader would misread, and a table with no rows (its header
 count would be 0, which both loaders reject), with ValueError, before it
 opens the file.
 
+Both loaders give their matrix no more rows than a regular file's size can
+hold, whatever its header says.  A stream, or a file that reports 0 bytes
+(as files under /proc do), has no known size: its matrix grows as rows
+arrive, and it loads as a regular file of the same bytes.  The returned
+matrix holds exactly its rows.
+
 ``load_text`` parses each row's values as Python floats and stores each
 kept row straight into one float32 matrix, rounded as ``np.array(values,
 np.float32)`` rounds them; a value beyond float32's range loads as +-inf,
 as the literal ``inf`` does, without a warning.  The matrix is allocated
 at the first kept row, for the header's count, but for no more rows than
-``keep`` holds or a regular file can hold (each takes at least
-``2 * dim + 1`` bytes).  Without a header, or from a stream, it starts at
-no more than ``_TEXT_ROWS`` rows, doubles in place when full and is
-trimmed to its rows before it is returned, so the table keeps no spare
-capacity.
+``keep`` holds or the file can hold (each takes at least ``2 * dim + 1``
+bytes).  Without a header, or without a known size, it starts at no more
+than ``_TEXT_ROWS`` rows and doubles in place when full.
 
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
 and copies each row straight into a preallocated float32 matrix; what it
@@ -43,13 +47,11 @@ optional newline.  An entry that is not wholly in the buffer with a byte
 after its row (so its newline is known) first goes through one branch,
 the only code that refills the buffer or raises a format error other
 than a duplicate; a row cut short by the file's end is reported as a
-duplicate when its token is one.  The matrix gets no more rows than the
-file can hold (each entry takes at least a space and ``4 * dim`` bytes),
-so a header promising more than that raises CountMismatchError or
-TruncatedFileError where the data runs out.  A stream, whose size is
-unknown, gets a matrix that grows as its rows arrive.  The header line
-may hold at most 128 bytes and a token at most 65536; a longer one
-raises MalformedHeaderError.
+duplicate when its token is one.  An entry takes at least a space and
+``4 * dim`` bytes, so a header promising more than the file can hold
+raises CountMismatchError or TruncatedFileError where the data runs out.
+The header line may hold at most 128 bytes and a token at most 65536; a
+longer one raises MalformedHeaderError.
 
 Every loader takes ``keep``, an iterable of tokens (default None: every
 row).  With it, only the rows whose token is in ``keep`` are stored, in
@@ -207,6 +209,20 @@ def _keep_bytes(keep) -> set:
     return out
 
 
+def _file_size(fh):
+    """The size of the regular file ``fh``; None when unknown: a stream, or 0 bytes (/proc)."""
+    st = os.fstat(fh.fileno())
+    return st.st_size if stat.S_ISREG(st.st_mode) and st.st_size else None
+
+
+def _header_sizes(count: int, dim: int, **where) -> tuple:
+    """A header's ``(count, dim)``; MalformedHeaderError at ``where`` unless both are > 0."""
+    if count < 1 or dim < 1:
+        raise MalformedHeaderError(f"count and dim must be positive, got {count} and {dim}",
+                                   **where)
+    return count, dim
+
+
 def load_binary(path, keep=None) -> EmbeddingTable:
     """Read a word2vec-format binary embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else _keep_bytes(keep)
@@ -223,23 +239,16 @@ def load_binary(path, keep=None) -> EmbeddingTable:
             raise MalformedHeaderError(
                 f"expected '<count> <dim>', got {header[:-1]!r}", offset=0
             )
-        count, dim = int(parts[0]), int(parts[1])
-        if count < 1 or dim < 1:
-            raise MalformedHeaderError(
-                f"count and dim must be positive, got {count} and {dim}", offset=0
-            )
+        count, dim = _header_sizes(int(parts[0]), int(parts[1]), offset=0)
         row_bytes = 4 * dim
         base = len(header)  # file offset of buf[0]
-        rows = count
-        seekable = fh.seekable()
-        if seekable:
-            # an entry takes at least a space and a row, so a file cannot
-            # hold more rows than this whatever its header says
-            rows = min(count, (fh.seek(0, 2) - base) // (row_bytes + 1))
-            fh.seek(base)
+        size = _file_size(fh)
+        # an entry takes at least a space and a row, so a file cannot hold
+        # more rows than this whatever its header says
+        rows = count if size is None else min(count, (size - base) // (row_bytes + 1))
         most = rows if keep is None else min(rows, len(keep))  # rows the table can get
         # a stream's size is unknown, so its matrix grows as its rows arrive
-        matrix = np.empty((most if seekable else 0) * dim, dtype="<f4")
+        matrix = np.empty((0 if size is None else most) * dim, dtype="<f4")
         out = memoryview(matrix).cast("B")
         tokens = []
         n = 0  # rows copied
@@ -299,7 +308,10 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                 f"file continues past the {count} promised entries", offset=base + pos
             )
     del seen  # the table's vocabulary replaces it; do not hold both
-    return EmbeddingTable(tokens, matrix[:n * dim].reshape(n, dim))
+    if n * dim < len(matrix):  # fewer rows kept than allocated: free the spare ones
+        out.release()
+        matrix.resize(n * dim, refcheck=False)
+    return EmbeddingTable(tokens, matrix.reshape(n, dim))
 
 
 def _refuse_empty(table: EmbeddingTable) -> None:
@@ -374,20 +386,15 @@ def load_text(path, keep=None) -> EmbeddingTable:
     dim = None
     # over="ignore": a value beyond float32's range stores as +-inf, silently
     with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-        st = os.fstat(fh.fileno())
-        size = st.st_size if stat.S_ISREG(st.st_mode) else None  # None: a stream
+        size = _file_size(fh)
         try:
             for lineno, raw in enumerate(fh, start=1):
                 fields = raw.split()
                 if not fields:
                     continue
                 if dim is None and expect_count is None and _looks_like_header(fields):
-                    expect_count, dim = int(fields[0]), int(fields[1])
-                    if expect_count < 1 or dim < 1:
-                        raise MalformedHeaderError(
-                            f"count and dim must be positive, got {expect_count} and {dim}",
-                            line=lineno,
-                        )
+                    expect_count, dim = _header_sizes(int(fields[0]), int(fields[1]),
+                                                      line=lineno)
                     continue
                 token, values = fields[0], fields[1:]
                 if not values:
@@ -409,7 +416,7 @@ def load_text(path, keep=None) -> EmbeddingTable:
                         if size is None:  # a stream: its header may promise any count
                             most = min(most, _TEXT_ROWS)
                         else:  # a row takes a token byte and dim values, each after a
-                            # separator; max: a file under /proc may report size 0
+                            # separator; max: the file may have grown since its size was read
                             most = min(most, max(1, size // (2 * dim + 1)))
                         if keep is not None:
                             most = min(most, len(keep))

@@ -96,21 +96,22 @@ class SolverNumericsError(ValueError):
     """A sweep produced NaN; names the node, dimension and sweep."""
 
 
-def _as_prob(q, name: str) -> np.ndarray:
+def _update_args(theta, q, theta_name: str, q_name: str):
+    """An update rule's arguments as float64 arrays: q probabilities, of theta's shape."""
+    theta = np.asarray(theta, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if np.any(q < 0.0) or np.any(q > 1.0) or not np.all(np.isfinite(q)):
-        raise ValueError(f"{name} entries must be probabilities in [0, 1]")
-    return q
+        raise ValueError(f"{q_name} entries must be probabilities in [0, 1]")
+    if theta.shape != q.shape:
+        raise DimensionMismatchError(
+            f"{theta_name} has shape {theta.shape} but {q_name} has shape {q.shape}"
+        )
+    return theta, q
 
 
 def forward_infer(theta_x, q_y):
     """Marginal of an entailed feature given its entailing side: sigma(theta + log q_y)."""
-    theta_x = np.asarray(theta_x, dtype=np.float64)
-    q_y = _as_prob(q_y, "q_y")
-    if theta_x.shape != q_y.shape:
-        raise DimensionMismatchError(
-            f"theta_x has shape {theta_x.shape} but q_y has shape {q_y.shape}"
-        )
+    theta_x, q_y = _update_args(theta_x, q_y, "theta_x", "q_y")
     if np.any(q_y == 0.0):
         raise ValueError("entailing from impossible feature (q_y entry is 0)")
     out = sigmoid(theta_x + np.log(q_y))
@@ -119,24 +120,11 @@ def forward_infer(theta_x, q_y):
 
 def backward_infer(theta_y, q_x):
     """Marginal of an entailing feature given its entailed side: sigma(theta - log(1 - q_x))."""
-    theta_y = np.asarray(theta_y, dtype=np.float64)
-    q_x = _as_prob(q_x, "q_x")
-    if theta_y.shape != q_x.shape:
-        raise DimensionMismatchError(
-            f"theta_y has shape {theta_y.shape} but q_x has shape {q_x.shape}"
-        )
+    theta_y, q_x = _update_args(theta_y, q_x, "theta_y", "q_x")
     if np.any(q_x == 1.0):
         raise ValueError("entailed feature certainly known (q_x entry is 1)")
     out = sigmoid(theta_y - np.log1p(-q_x))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _neg_log_factors(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
-    # log(1 - sigma(-x_src) sigma(x_tgt)) per dimension; -inf when the
-    # product saturates to 1 (only possible at extreme log-odds).
-    p = sigmoid(-x_src) * sigmoid(x_tgt)
-    with np.errstate(divide="ignore"):
-        return np.log1p(-p)
 
 
 def _neg_constants(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
@@ -147,7 +135,10 @@ def _neg_constants(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
     so a row with one saturated factor keeps only that factor's C, and a row
     with two or more is all zeros.
     """
-    logf = _neg_log_factors(x_src, x_tgt)
+    # log of each factor; -inf when the product saturates to 1 (only
+    # possible at extreme log-odds)
+    with np.errstate(divide="ignore"):
+        logf = np.log1p(-(sigmoid(-x_src) * sigmoid(x_tgt)))
     zero = np.isneginf(logf)
     logf[zero] = 0.0
     out = np.exp(logf.sum(axis=-1, keepdims=True) - logf)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _OPERATOR_TABLES,
     DimensionMismatchError,
     entail_backward,
     entail_factorized,
@@ -122,7 +123,7 @@ def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None)
     of ``hyper_raw``: pass one (words, d) matrix as both arguments and the
     operator's tables are built once per word, not once per pair row.
     """
-    if op not in ("fwd", "bwd", "fact"):
+    if op not in _OPERATOR_TABLES:
         raise ValueError(f"unknown operator {op!r}; expected fwd, bwd or fact")
     y = transform(hypo_raw, interp)
     x = y if hyper_raw is hypo_raw else transform(hyper_raw, interp)

@@ -13,9 +13,10 @@ Mapped vectors are always read as log-odds and scored by ``core``'s
 operators, saturation cap included; the duplicate/shift readings are
 subsumed by the freedom of a learned linear map, so composing them would
 be redundant.  Each operator's score and its gradient with respect to the
-mapped vectors are written in ``core``: a mini-batch gets both from one
-``core`` helper that builds the sigma / log sigma tables of its mapped
-vectors once.  Only ``dif`` (a plain difference sum) is scored here.  The
+mapped vectors are written in ``core``, and so is the ``dif`` baseline (a
+plain difference sum): a mini-batch gets both from one ``core`` helper
+that builds the sigma / log sigma tables of its mapped vectors once, and
+that rejects non-finite mapped vectors for every operator.  The
 gradients then flow analytically through the mapping; the
 finite-difference agreement test is the contract here.
 """
@@ -43,7 +44,7 @@ __all__ = [
     "load_model",
 ]
 
-_OPS = ("fwd", "bwd", "fact", "dif")
+_OPS = (*core._OPERATOR_TABLES, "dif")
 
 
 def _check_op(op: str) -> None:
@@ -127,18 +128,11 @@ def raw_scores(model: MappingModel, hypo_raw, hyper_raw) -> np.ndarray:
     g_raw = np.atleast_2d(np.asarray(hyper_raw, dtype=np.float64))
     _check_d_in(model, h_raw, "hypo")
     _check_d_in(model, g_raw, "hyper")
-    if h_raw.shape != g_raw.shape:  # dif would broadcast them
+    if h_raw.shape != g_raw.shape:  # named by the raw shapes, not the mapped ones
         raise core.DimensionMismatchError(
             f"hypo has shape {h_raw.shape} but hyper has shape {g_raw.shape}"
         )
-    h, g = h_raw @ model.W.T, g_raw @ model.W.T
-    if model.op == "fwd":
-        return core.entail_forward(g, h)
-    if model.op == "bwd":
-        return core.entail_backward(h, g)
-    if model.op == "fact":
-        return core.entail_factorized(h, g)
-    return np.sum(g - h, axis=-1)
+    return core._score_grads(model.op, h_raw @ model.W.T, g_raw @ model.W.T)[0]
 
 
 def predict(model: MappingModel, hypo_vec, hyper_vec):
@@ -151,10 +145,7 @@ def _loss_and_grad_mats(model: MappingModel, h_raw, g_raw, targets, l2: float):
     n = h_raw.shape[0]
     h = h_raw @ model.W.T
     g = g_raw @ model.W.T
-    if model.op == "dif":
-        s, dh, dg = np.sum(g - h, axis=-1), -np.ones_like(h), np.ones_like(g)
-    else:
-        s, dh, dg = core._score_grads(model.op, h, g)
+    s, dh, dg = core._score_grads(model.op, h, g)
     u = s - model.tau
     tu = core._tables(u, "sigmoid", "log_sigmoid", "log_sigmoid_neg")
     p = tu["sigmoid"]

@@ -12,7 +12,6 @@ seek, to the same table and errors as a regular file.
 """
 
 import os
-import threading
 from functools import partial
 
 import numpy as np
@@ -26,6 +25,7 @@ from entvec.embeddings import (
     load_binary,
 )
 
+from conftest import load_fifo
 from test_corruption import ABSENT, outcome
 
 DIM = 3
@@ -156,17 +156,6 @@ def test_a_repeat_cut_short_is_reported_as_a_repeat(tmp_path, monkeypatch, layou
             assert exc_info.value.offset == at, chunk
 
 
-def load_stream(data, fifo, keep=None):
-    """``load_binary`` of ``data`` written into the FIFO ``fifo``, which cannot seek."""
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-    writer.start()
-    try:
-        return load_binary(fifo, keep=keep)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-
-
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 
 
@@ -182,7 +171,24 @@ def test_a_stream_loads_as_the_file_does(tmp_path, monkeypatch):
         for keep in (None, subset, ABSENT):
             want = outcome(load_binary, path, keep)
             assert isinstance(want[0], list)  # a table, not an error
-            assert outcome(partial(load_stream, data), fifo, keep) == want, (chunk, keep)
+            stream = partial(load_fifo, load_binary, data)
+            assert outcome(stream, fifo, keep) == want, (chunk, keep)
+
+
+@needs_fifo
+def test_the_matrix_holds_only_its_rows(tmp_path):
+    # the matrix is sized for len(keep) rows; the returned one keeps only those it filled
+    data, table = build("mixed", seed=4)
+    path, fifo = tmp_path / "many.bin", tmp_path / "stream.bin"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+    present = {t.decode("utf-8", "surrogateescape") for t, _, _ in table[10:12]}
+    keep = present | {f"absent{k}" for k in range(500)}
+    for load in (load_binary, partial(load_fifo, load_binary, data)):
+        for rows, subset in ((2, keep), (3000, None)):
+            matrix = load(path if load is load_binary else fifo, keep=subset).matrix
+            assert matrix.shape == (rows, DIM)
+            assert matrix.base.nbytes == matrix.nbytes
 
 
 @needs_fifo
@@ -197,4 +203,5 @@ def test_a_stream_with_a_lying_header_reports_the_missing_entries(tmp_path, monk
         for keep in (None, ABSENT):
             want = outcome(load_binary, path, keep)
             assert want[:2] == (CountMismatchError, len(data))
-            assert outcome(partial(load_stream, data), fifo, keep) == want, (chunk, keep)
+            stream = partial(load_fifo, load_binary, data)
+            assert outcome(stream, fifo, keep) == want, (chunk, keep)

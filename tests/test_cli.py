@@ -245,6 +245,18 @@ class TestTrainCommand:
         assert sorted(lookups) == sorted(f"{kind}{i}" for kind in ("hypo", "hyper")
                                          for i in range(6))
 
+    def test_bad_out_dir_is_reported_before_any_file_is_read(self, capsys, tmp_path):
+        out_file = tmp_path / "models"
+        out_file.write_text("a file, not a directory\n")
+        assert main([
+            "train", "--embeddings", "/nonexistent.bin", "--pairs", "/nonexistent.tsv",
+            "--out-dir", str(out_file),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entvec: error: [Errno")
+        assert str(out_file) in captured.err and "nonexistent" not in captured.err
+
     def test_all_oov_is_data_error(self, capsys, tmp_path):
         pair_path = tmp_path / "pairs.tsv"
         pair_path.write_text("ghost\tspirit\t1\n")

@@ -68,6 +68,9 @@ class TestClamp:
 
     def test_custom_limit(self):
         np.testing.assert_array_equal(clamp_log_odds([50.0, -50.0], limit=30.0), [30.0, -30.0])
+        for limit in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^clamp limit must be positive, got {limit}$"):
+                clamp_log_odds([1.0], limit=limit)
 
 
 class TestEntailForward:

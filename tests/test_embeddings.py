@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -24,6 +23,7 @@ from entvec.embeddings import (
     write_text,
 )
 
+from conftest import load_fifo
 from test_corruption import ABSENT, outcome
 
 
@@ -97,6 +97,8 @@ class TestEmbeddingTable:
             EmbeddingTable(["a"], np.zeros((2, 1)))
         with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.zeros((1, 0)))
+        with pytest.raises(ValueError, match=r"^matrix must be 2-d, got shape \(1,\)$"):
+            EmbeddingTable(["a"], np.zeros(1))
         empty = EmbeddingTable([], np.zeros((0, 1)))  # as a load that keeps no token gives
         assert len(empty) == 0 and empty.dim == 1 and empty.tokens == []
         assert "a" not in empty and empty.lookup("a") is None
@@ -201,11 +203,7 @@ class TestBinaryFormat:
         data = binary_bytes(2, 2, [("a", [1, 2]), ("b", [3, 4])])
         path = tmp_path / "vecs.bin"
         os.mkfifo(path)
-        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
-        writer.start()
-        loaded = load_binary(path)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        loaded = load_fifo(load_binary, data, path)
         assert loaded.tokens == ["a", "b"]
         np.testing.assert_array_equal(loaded.matrix, [[1, 2], [3, 4]])
 
@@ -589,23 +587,15 @@ class TestTextHeaders:
         # a fault on any line beats the count mismatch reported at the end
         ("2 2\na 1 2\nb 3 4\nc 5 6\nd 7 x\n", TextFormatError, 5,
          "unparsable float in row (line 5)"),
-    ], ids=["count-10**12", "dim-10**10", "one-row-too-many", "bad-float-after-extra-rows"])
+        ("\n0 3\na 1 2 3\n", MalformedHeaderError, 2,
+         "count and dim must be positive, got 0 and 3 (line 2)"),
+    ], ids=["count-10**12", "dim-10**10", "one-row-too-many", "bad-float-after-extra-rows",
+            "count-0"])
     @pytest.mark.parametrize("keep", [None, ABSENT, {"a", "c"}], ids=["all", "absent", "some"])
     def test_outcome(self, tmp_path, text, error, line, message, keep):
         path = tmp_path / "vecs.txt"
         path.write_text(text)
         assert outcome(load_text, path, keep) == (error, None, line, message)
-
-
-def load_text_stream(data, fifo, keep=None):
-    """``load_text`` of ``data`` written into the FIFO ``fifo``, which has no size."""
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-    writer.start()
-    try:
-        return load_text(fifo, keep=keep)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
@@ -625,7 +615,7 @@ class TestTextStream:
             for keep in (None, subset, ABSENT):
                 want = outcome(load_text, path, keep)
                 assert isinstance(want[0], list)  # a table, not an error
-                assert outcome(partial(load_text_stream, data), fifo, keep) == want
+                assert outcome(partial(load_fifo, load_text, data), fifo, keep) == want
 
     def test_a_stream_with_a_lying_header_reports_the_count(self, tmp_path):
         data = b"1000000000000 2\na 1 2\nb 3 4\n"
@@ -635,7 +625,58 @@ class TestTextStream:
         for keep in (None, ABSENT):
             want = outcome(load_text, path, keep)
             assert want[0] is CountMismatchError
-            assert outcome(partial(load_text_stream, data), fifo, keep) == want
+            assert outcome(partial(load_fifo, load_text, data), fifo, keep) == want
+
+
+PROC_FILE = "/proc/sys/net/ipv4/ip_local_port_range"  # reports 0 bytes, holds "N\tM\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+class TestUnknownSize:
+    """A regular file that reports 0 bytes, as files under /proc do, has no known
+    size: each loader reads it as it reads a stream of the same bytes."""
+
+    ROWS = 3 * embeddings._TEXT_ROWS + 5
+
+    def cases(self, tmp_path):
+        rng = np.random.default_rng(9)
+        tokens = [f"w{k}" for k in range(self.ROWS)]
+        table = EmbeddingTable(tokens, rng.standard_normal((self.ROWS, 3), np.float32))
+        write_binary(table, tmp_path / "t.bin")
+        write_text(table, tmp_path / "t.txt")
+        text = (tmp_path / "t.txt").read_bytes()
+        return set(tokens[::7]), [
+            (load_binary, (tmp_path / "t.bin").read_bytes()),
+            (load_binary, b"4000000000 300\ndog " + bytes(1200) + b"\n"),
+            (load_binary, b"3 2\na " + ROW2 + b"\nb " + ROW2 + b"\n"),
+            (load_text, text),
+            (load_text, text.split(b"\n", 1)[1]),
+            (load_text, b"1000000000000 2\na 1 2\nb 3 4\n"),
+        ]
+
+    def test_loads_as_a_stream(self, tmp_path, monkeypatch):
+        subset, cases = self.cases(tmp_path)
+        path, fifo = tmp_path / "vecs", tmp_path / "stream"
+        os.mkfifo(fifo)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(fstat(fd)[:6] + (0,)
+                                                                     + fstat(fd)[7:10]))
+        for loader, data in cases:
+            path.write_bytes(data)
+            for keep in (None, subset, ABSENT):
+                want = outcome(partial(load_fifo, loader, data), fifo, keep)
+                assert outcome(loader, path, keep) == want, (loader.__name__, data[:20], keep)
+
+    @pytest.mark.skipif(not os.path.isfile(PROC_FILE), reason=f"no {PROC_FILE} here")
+    @pytest.mark.parametrize("loader", [load_binary, load_text])
+    def test_a_proc_file(self, tmp_path, loader):
+        fifo = tmp_path / "stream"
+        os.mkfifo(fifo)
+        with open(PROC_FILE, "rb") as fh:
+            data = fh.read()
+        want = outcome(partial(load_fifo, loader, data), fifo)
+        assert outcome(loader, PROC_FILE) == want
+        assert want[0] in (CountMismatchError, TextFormatError)
 
 
 class TestTextMemory:

@@ -314,6 +314,9 @@ class TestBaselineScore:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             baseline_score("dot", [1.0], [1.0, 2.0])
+        for h, g in ((1.0, 2.0), ([], [])):  # 0-d vectors, and vectors of no dimension
+            with pytest.raises(ValueError, match="^vectors must have at least one dimension$"):
+                baseline_score("dot", h, g)
 
 
 class TestBaselinePairs:
@@ -473,6 +476,22 @@ class TestRunEval:
         assert row.method == "mapped-dif"
         assert row.n_scored == 12
         assert 0.0 <= row.acc50 <= 1.0 and 0.0 <= row.dir_acc <= 1.0
+
+    def test_mapped_dif_rejects_a_non_finite_vector_as_bwd_does(self):
+        # a text value beyond float32 loads as inf; dif is scored through core's
+        # checks too, so it no longer reads its NaN scores as unassigned pairs
+        rng = np.random.default_rng(42)
+        matrix = rng.normal(size=(24, 4)).astype(np.float32)
+        matrix[5, 2] = np.inf
+        table = EmbeddingTable([f"w{k}" for k in range(24)], matrix)
+        pairs = [WordPair(f"w{2 * k}", f"w{2 * k + 1}", k % 2) for k in range(12)]
+        messages = []
+        for method in ("mapped-bwd", "mapped-dif"):
+            with pytest.raises(ValueError, match="contains non-finite values") as exc_info:
+                run_eval(EvalRequest(WordPairDataset(pairs), table, methods=(method,), k_folds=3,
+                                     train_config=TrainConfig(epochs=1, batch_size=4)))
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
 
     def test_mapped_methods_resolve_the_pairs_once(self, monkeypatch):
         # training takes run_eval's rows, so each in-vocabulary word is looked up once

@@ -214,6 +214,8 @@ class TestNegRelationConstant:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             neg_relation_constant([0.0], [0.0, 0.0], 0)
+        with pytest.raises(ValueError, match="^neg_relation_constant expects 1-d vectors$"):
+            neg_relation_constant([[0.0, 0.0]], [[0.0, 0.0]], 0)
 
     def test_rows_with_saturated_factors(self):
         # rows with 0, 1 and 3 saturated factors (1 - sigma(800) sigma(800) == 0)
@@ -295,6 +297,12 @@ class TestEntailmentGraph:
         g = EntailmentGraph()
         with pytest.raises(GraphStructureError):
             g.add_node("a", dim=2, theta=[1.0])
+        for theta in ([], np.zeros(0), np.zeros((1, 2))):
+            with pytest.raises(GraphStructureError, match="theta must be a non-empty vector"):
+                g.add_node("a", theta=theta)
+        with pytest.raises(GraphStructureError, match="'a' needs a dim or a theta vector"):
+            g.add_node("a")
+        assert g.node_names == [] and g.dim is None
 
     def test_nonfinite_theta(self):
         g = EntailmentGraph()

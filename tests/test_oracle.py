@@ -53,6 +53,15 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(21, np.zeros(2 ** 21))
 
+    def test_rejects_inputs_of_the_wrong_size_or_range(self):
+        with pytest.raises(ValueError, match=r"^probs must have length 2\*\*2 = 4, got shape"):
+            DiscreteDistribution(2, [0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match=r"^state \(1, 0, 1\) does not have 2 bits$"):
+            DiscreteDistribution.from_support(2, {(1, 0, 1): 1.0})
+        for marginals in ([0.5, 1.5], [-0.1]):
+            with pytest.raises(ValueError, match=r"^marginals must lie in \[0, 1\]$"):
+                DiscreteDistribution.factorized(marginals)
+
 
 class TestExactEntailProb:
     def test_uncovered_knowns_never_entail(self):

@@ -305,6 +305,9 @@ class TestModelSerialization:
         path.write_text("3 5 0.0\n")
         with pytest.raises(ValueError, match="header"):
             load_model(path)
+        path.write_text("a b c d\n")
+        with pytest.raises(ValueError, match=r"^unparsable model header \['a', 'b', 'c', 'd'\]$"):
+            load_model(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "m.model"
