@@ -18,10 +18,12 @@ entailment operators read the raw coordinates as log-odds.
 Binary tokens round-trip byte for byte, invalid UTF-8 included
 (``surrogateescape``); the text format is strict UTF-8 and raises
 UnicodeEncodeError on such a token.  Reading a text file that is not
-valid UTF-8 raises TextFormatError naming the line.  A writer refuses
-a token its loader would misread, and a table with no rows (its header
-count would be 0, which both loaders reject), with ValueError, before it
-opens the file.
+valid UTF-8 raises TextFormatError at its first line that is not, unless
+an earlier line holds another error: a text file's errors come in line
+order, and it is read once, so a stream reads as a file does.  A writer
+refuses a token its loader would misread, and a table with no rows (its
+header count would be 0, which both loaders reject), with ValueError,
+before it opens the file.
 
 Both loaders give their matrix no more rows than a regular file's size can
 hold, whatever its header says.  A stream, or a file that reports 0 bytes
@@ -29,10 +31,21 @@ hold, whatever its header says.  A stream, or a file that reports 0 bytes
 arrive, and it loads as a regular file of the same bytes.  The returned
 matrix holds exactly its rows.
 
-``load_text`` parses each row's values as Python floats and stores each
-kept row straight into one float32 matrix, rounded as ``np.array(values,
-np.float32)`` rounds them; a value beyond float32's range loads as +-inf,
-as the literal ``inf`` does, without a warning.  The matrix is allocated
+``load_text`` reads line by line until the header or the first row fixes
+``dim``.  Then it takes whole lines in blocks of about ``_TEXT_BLOCK``
+characters, so a block's memory does not grow with ``dim``, and parses all
+of a block's values in one ``np.loadtxt`` call, as float32.  A block is
+kept only when each of its rows has a token that no earlier row has, is
+valid UTF-8 and parses to ``dim`` values; any other block is read again
+from its first line by the per-line code, which is the one definition of
+the format and raises the first error in line order.  numpy's reader
+splits on the whitespace ``str.split`` splits on and parses values with
+the parser ``float`` uses, accepting a subset of its spellings (``1_0``
+and ``١``, which it rejects, load through the per-line code); so nothing
+a file gives, error or table, depends on the block size.  Each value is
+rounded as ``np.array(values, np.float32)`` rounds it; a value beyond
+float32's range loads as +-inf, as the literal ``inf`` does, without a
+warning.  The kept rows go straight into one float32 matrix, allocated
 at the first kept row, for the header's count, but for no more rows than
 ``keep`` holds or the file can hold (each takes at least ``2 * dim + 1``
 bytes).  Without a header, or without a known size, it starts at no more
@@ -82,6 +95,7 @@ import numpy as np
 
 _CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
 _TEXT_ROWS = 1024  # load_text's first matrix rows when no header sizes it; it doubles
+_TEXT_BLOCK = 1 << 18  # characters load_text parses per numpy call; results do not depend on it
 _MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
 __all__ = [
@@ -348,97 +362,165 @@ def _looks_like_header(fields) -> bool:
     return True
 
 
-def _raise_at_bad_utf8_line(path, exc: UnicodeDecodeError, error) -> None:
-    """Raise ``error`` at the first line of ``path`` that is not UTF-8, else ``exc``.
-
-    Only a failed read pays for this: a reread with each bad byte as a lone
-    surrogate, which strict encoding rejects.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise error(f"not valid UTF-8 ({exc.reason})", line=lineno) from None
-    raise exc
-
-
-def _floats(values, lineno) -> list:
-    """A text row's values as Python floats, or TextFormatError at its line.
-
-    A function of its own, so the floats are made in a small code object:
-    tracemalloc looks up the line of each allocation by scanning its code
-    object, and inside load_text that made a traced load up to 4x slower.
-    """
+def _not_utf8(raw: str):
+    """Why the bytes of ``raw``, a line read with ``surrogateescape``, are not UTF-8;
+    None when they are.  Each byte that is not UTF-8 reads as a lone surrogate,
+    which strict encoding rejects."""
+    if raw.isascii():
+        return None
     try:
-        return list(map(float, values))
-    except ValueError:
-        raise TextFormatError("unparsable float in row", line=lineno) from None
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        try:
+            raw.encode("utf-8", errors="surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return exc.reason
+    return None
+
+
+class _TextRows:
+    """The rows of one text file as ``load_text`` reads them.
+
+    ``line`` reads one line and is the one definition of the format;
+    ``block`` reads many lines at once when it can vouch for giving what
+    ``line`` would give each of them, and otherwise reads them with ``line``.
+    """
+
+    def __init__(self, keep, size):
+        self.keep = keep
+        self.size = size  # of a regular file; None when unknown
+        self.tokens = []  # kept, in file order
+        self.matrix = None  # allocated at the first kept row, once dim is known
+        self.seen = set()  # every row's token, kept or not
+        self.count = None  # the header's
+        self.dim = None  # the header's, or the first row's
+
+    def line(self, lineno: int, raw: str) -> None:
+        reason = _not_utf8(raw)
+        if reason:
+            raise TextFormatError(f"not valid UTF-8 ({reason})", line=lineno)
+        fields = raw.split()
+        if not fields:
+            return
+        if self.dim is None and self.count is None and _looks_like_header(fields):
+            self.count, self.dim = _header_sizes(int(fields[0]), int(fields[1]), line=lineno)
+            return
+        token, values = fields[0], fields[1:]
+        if not values:
+            raise TextFormatError(f"token {token!r} has no values", line=lineno)
+        if self.dim is None:
+            self.dim = len(values)
+        elif len(values) != self.dim:
+            raise TextFormatError(f"expected {self.dim} values, got {len(values)}", line=lineno)
+        if token in self.seen:
+            raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
+        self.seen.add(token)
+        try:
+            values = list(map(float, values))
+        except ValueError:
+            raise TextFormatError("unparsable float in row", line=lineno) from None
+        if self.keep is None or token in self.keep:
+            self._store([token], [values])
+
+    def block(self, first: int, lines: list) -> None:
+        """Read ``lines``, the first of them line ``first``, once ``dim`` is known."""
+        parsed = self._parse(lines)
+        if parsed is None:
+            for lineno, raw in enumerate(lines, start=first):
+                self.line(lineno, raw)
+            return
+        tokens, values = parsed
+        self.seen.update(tokens)
+        if self.keep is not None:
+            kept = [k for k, token in enumerate(tokens) if token in self.keep]
+            tokens, values = [tokens[k] for k in kept], values[kept]
+        if tokens:
+            self._store(tokens, values)
+
+    def _parse(self, lines: list):
+        """The tokens and float32 values of the rows in ``lines``, with one numpy call.
+
+        None unless ``line`` would read every line of them without an error.
+        numpy's reader splits fields on the whitespace ``str.split`` splits
+        on, and parses a value as ``float`` does or rejects it (``1_0`` and
+        ``١``, which ``float`` accepts, are rejected): then ``line`` reads them.
+        """
+        tokens, fields = [], []
+        for raw in lines:
+            parts = raw.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) == 1 or _not_utf8(raw):
+                return None
+            tokens.append(parts[0])
+            fields.append(parts[1])
+        # no rows (np.loadtxt would warn), or a token repeated
+        if not tokens or len(set(tokens)) != len(tokens) or not self.seen.isdisjoint(tokens):
+            return None
+        try:
+            # float32 rounds each value as np.array(floats, np.float32) does
+            values = np.loadtxt(fields, np.float32, comments=None, ndmin=2)
+        except ValueError:  # a value float() may yet accept, or a row of another length
+            return None
+        return (tokens, values) if values.shape == (len(tokens), self.dim) else None
+
+    def _store(self, tokens: list, values) -> None:
+        n, dim = len(self.tokens), self.dim
+        if self.matrix is None:
+            most = _TEXT_ROWS if self.count is None else self.count
+            if self.size is None:  # a stream: its header may promise any count
+                most = min(most, _TEXT_ROWS)
+            else:  # a row takes a token byte and dim values, each after a
+                # separator; max: the file may have grown since its size was read
+                most = min(most, max(1, self.size // (2 * dim + 1)))
+            if self.keep is not None:
+                most = min(most, len(self.keep))
+            self.matrix = np.empty((most, dim), np.float32)
+        if n + len(tokens) > len(self.matrix):
+            # no view of the matrix exists, so it may be reallocated
+            self.matrix.resize((max(2 * n, n + len(tokens)), dim), refcheck=False)
+        self.matrix[n:n + len(tokens)] = values  # rounds as np.array(values, np.float32) does
+        self.tokens += tokens
+
+    def table(self) -> EmbeddingTable:
+        if not self.seen:
+            raise TextFormatError("no embedding rows found", line=1)
+        if self.count is not None and len(self.seen) != self.count:
+            raise CountMismatchError(
+                f"header promises {self.count} entries but the file has {len(self.seen)}"
+            )
+        n = len(self.tokens)
+        if self.matrix is None:
+            return EmbeddingTable([], np.empty((0, self.dim), np.float32))
+        if n < len(self.matrix):
+            self.matrix.resize((n, self.dim), refcheck=False)  # frees the spare rows
+        return EmbeddingTable(self.tokens, self.matrix)
 
 
 def load_text(path, keep=None) -> EmbeddingTable:
     """Read a whitespace-separated text embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else set(keep)
-    tokens = []
-    matrix = None  # allocated at the first kept row, once that row has proved dim
-    seen = set()  # every row's token, kept or not
-    expect_count = None
-    dim = None
-    # over="ignore": a value beyond float32's range stores as +-inf, silently
-    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-        size = _file_size(fh)
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                fields = raw.split()
-                if not fields:
-                    continue
-                if dim is None and expect_count is None and _looks_like_header(fields):
-                    expect_count, dim = _header_sizes(int(fields[0]), int(fields[1]),
-                                                      line=lineno)
-                    continue
-                token, values = fields[0], fields[1:]
-                if not values:
-                    raise TextFormatError(f"token {token!r} has no values", line=lineno)
-                if dim is None:
-                    dim = len(values)
-                elif len(values) != dim:
-                    raise TextFormatError(
-                        f"expected {dim} values, got {len(values)}", line=lineno
-                    )
-                if token in seen:
-                    raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
-                seen.add(token)
-                values = _floats(values, lineno)
-                if keep is None or token in keep:
-                    n = len(tokens)
-                    if matrix is None:
-                        most = _TEXT_ROWS if expect_count is None else expect_count
-                        if size is None:  # a stream: its header may promise any count
-                            most = min(most, _TEXT_ROWS)
-                        else:  # a row takes a token byte and dim values, each after a
-                            # separator; max: the file may have grown since its size was read
-                            most = min(most, max(1, size // (2 * dim + 1)))
-                        if keep is not None:
-                            most = min(most, len(keep))
-                        matrix = np.empty((most, dim), np.float32)
-                    elif n == len(matrix):
-                        # no view of the matrix exists, so it may be reallocated
-                        matrix.resize((2 * n, dim), refcheck=False)
-                    matrix[n] = values  # rounds as np.array(values, np.float32) does
-                    tokens.append(token)
-        except UnicodeDecodeError as exc:
-            _raise_at_bad_utf8_line(path, exc, TextFormatError)
-    if not seen:
-        raise TextFormatError("no embedding rows found", line=1)
-    if expect_count is not None and len(seen) != expect_count:
-        raise CountMismatchError(
-            f"header promises {expect_count} entries but the file has {len(seen)}"
-        )
-    if matrix is None:
-        matrix = np.empty((0, dim), np.float32)
-    elif len(tokens) < len(matrix):
-        matrix.resize((len(tokens), dim), refcheck=False)  # frees the spare rows
-    return EmbeddingTable(tokens, matrix)
+    # surrogateescape: a line that is not UTF-8 is reported at its line, in line
+    # order, by _TextRows.line.  over="ignore": a value beyond float32's range
+    # stores as +-inf, silently
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh, \
+            np.errstate(over="ignore"):
+        rows = _TextRows(keep, _file_size(fh))
+        lines = enumerate(fh, start=1)
+        for lineno, raw in lines:  # line by line until the header or first row fixes dim
+            rows.line(lineno, raw)
+            if rows.dim is not None:
+                break
+        block, chars = [], 0
+        for lineno, raw in lines:
+            block.append(raw)
+            chars += len(raw)
+            if chars >= _TEXT_BLOCK:
+                rows.block(lineno + 1 - len(block), block)
+                block, chars = [], 0
+        if block:
+            rows.block(lineno + 1 - len(block), block)
+    return rows.table()
 
 
 def write_text(table: EmbeddingTable, path) -> None:

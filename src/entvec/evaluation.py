@@ -42,7 +42,7 @@ import numpy as np
 
 from . import interpret, training
 from .core import _pair_rows
-from .embeddings import EmbeddingTable, _raise_at_bad_utf8_line
+from .embeddings import EmbeddingTable, _not_utf8
 
 __all__ = [
     "WordPair",
@@ -115,26 +115,27 @@ class WordPairDataset:
 def load_pairs(path) -> WordPairDataset:
     """Read a ``hypo<TAB>hyper<TAB>label`` file, preserving order."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise DatasetFormatError(
-                        f"expected 3 tab-separated columns, got {len(fields)}", lineno
-                    )
-                hypo, hyper, label = fields
-                if label not in ("0", "1"):
-                    raise DatasetFormatError(f"bad label {label!r}", lineno)
-                try:
-                    pairs.append(WordPair(hypo, hyper, int(label)))
-                except ValueError as exc:
-                    raise DatasetFormatError(str(exc), lineno) from None
-        except UnicodeDecodeError as exc:
-            _raise_at_bad_utf8_line(path, exc, DatasetFormatError)
+    # surrogateescape: a line that is not UTF-8 is reported at its line, in line order
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            reason = _not_utf8(raw)
+            if reason:
+                raise DatasetFormatError(f"not valid UTF-8 ({reason})", lineno)
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DatasetFormatError(
+                    f"expected 3 tab-separated columns, got {len(fields)}", lineno
+                )
+            hypo, hyper, label = fields
+            if label not in ("0", "1"):
+                raise DatasetFormatError(f"bad label {label!r}", lineno)
+            try:
+                pairs.append(WordPair(hypo, hyper, int(label)))
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), lineno) from None
     return WordPairDataset(pairs)
 
 
@@ -414,9 +415,10 @@ def run_eval(request: EvalRequest) -> EvalReport:
     pairs = request.dataset.pairs
     kept, n_dropped, *resolved = resolve_pairs(pairs, request.embeddings)
     words, hi, gi, labels = resolved
-    # forward pairs, then the same pairs reversed: one scoring call per method
-    both = (np.concatenate([hi, gi]), np.concatenate([gi, hi]))
     pos_mask = labels == 1
+    # every pair forward, then the positive pairs reversed, which is all that
+    # direction accuracy reads: one scoring call per method
+    both = (np.concatenate([hi, gi[pos_mask]]), np.concatenate([gi, hi[pos_mask]]))
 
     dataset = WordPairDataset(pairs=[pairs[n] for n in kept])
     if any(m in MAPPED_METHODS for m in methods):
@@ -425,13 +427,16 @@ def run_eval(request: EvalRequest) -> EvalReport:
     def one(method):
         if method in MAPPED_METHODS:
             scores, rev = _mapped_scores(method, dataset.folds, resolved, request.train_config)
+            rev = rev[pos_mask]
         elif method in readings:
             scores, rev = np.split(interpret.pair_score(
-                words, words, readings[method], OPERATOR_METHODS[method][1], pairs=both), 2)
+                words, words, readings[method], OPERATOR_METHODS[method][1], pairs=both),
+                [labels.size])
         else:
-            scores, rev = np.split(baseline_score(method, words, words, pairs=both), 2)
+            scores, rev = np.split(baseline_score(method, words, words, pairs=both),
+                                   [labels.size])
         acc50, threshold = fifty_percent_accuracy(scores, labels)
-        dir_acc = _direction_credit(scores[pos_mask], rev[pos_mask])
+        dir_acc = _direction_credit(scores[pos_mask], rev)
         return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)
 
     if request.threads > 1 and len(methods) > 1:

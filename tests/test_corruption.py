@@ -7,8 +7,6 @@ outcome must also be the same whatever size of chunk the file is read in,
 and for both embedding readers the same with ``keep=`` as without.
 """
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -21,6 +19,8 @@ from entvec.embeddings import (
 )
 from entvec.evaluation import DatasetFormatError, load_pairs
 from entvec.graph import GraphFormatError, parse_graph_file
+
+from conftest import deadline
 
 CASES = 250  # per reader
 TIME_BOUND_S = 60.0  # per test; the cases take well under 5 s
@@ -42,16 +42,8 @@ observe animal 1 -0.75
 
 @pytest.fixture(autouse=True)
 def time_bound():
-    def expire(signum, frame):
-        raise TimeoutError(f"corruption cases ran over {TIME_BOUND_S} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND_S)
-    try:
+    with deadline(TIME_BOUND_S):
         yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def small_table():

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from entvec import interpret
+from entvec import evaluation, interpret
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import (
     ALL_METHODS,
@@ -379,6 +379,20 @@ class TestRunEval:
         report = run_eval(request)
         golden = (DATA / "toy_report_golden.csv").read_text()
         assert report.to_csv() == golden
+
+    def test_reverses_only_the_positive_pairs(self, monkeypatch):
+        # direction accuracy reads the reversed scores of the positive pairs alone
+        dataset, table = toy_fixture()
+        labels = resolve_pairs(dataset.pairs, table)[-1]
+        sizes = []
+        for module, name in ((interpret, "pair_score"), (evaluation, "baseline_score")):
+            def spy(*args, score=getattr(module, name), **kwargs):
+                sizes.append([p.size for p in kwargs["pairs"]])
+                return score(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        run_eval(EvalRequest(dataset, table, methods=("logodds-bwd", "dot", "wcos")))
+        assert 0 < labels.sum() < labels.size
+        assert sizes == [[labels.size + labels.sum()] * 2] * 3
 
     def test_counts_oov_drops(self):
         dataset, table = toy_fixture()
