@@ -25,11 +25,19 @@ refuses a token its loader would misread, and a table with no rows (its
 header count would be 0, which both loaders reject), with ValueError,
 before it opens the file.
 
-Both loaders give their matrix no more rows than a regular file's size can
-hold, whatever its header says.  A stream, or a file that reports 0 bytes
-(as files under /proc do), has no known size: its matrix grows as rows
-arrive, and it loads as a regular file of the same bytes.  The returned
-matrix holds exactly its rows.
+Both loaders copy each kept row into one float32 matrix, which one rule
+sizes, grows and trims (``_Rows``).  It starts at the header's count, but at
+no more rows than ``keep`` holds or than a regular file's reported size can
+hold (a binary entry takes at least ``4 * dim + 1`` bytes, a text row
+``2 * dim + 1``).  Without a header count or a known size (a stream, or a
+file that reports 0 bytes, as files under /proc do) it starts empty.  When
+full it grows in place where it can, to at least the rows that arrived and
+to twice its rows, doubling no further than the header's count and never
+past ``len(keep)`` rows.  So a stream loads as a regular file of the same
+bytes, a regular file that holds more bytes than it reports (appended to
+during the load, or on a file system that under-reports) loads the bytes it
+holds, and a header that promises too much allocates only for the rows
+that arrive.  The returned matrix holds exactly its rows.
 
 ``load_text`` reads line by line until the header or the first row fixes
 ``dim``.  Then it takes whole lines in blocks of about ``_TEXT_BLOCK``
@@ -45,16 +53,13 @@ and ``١``, which it rejects, load through the per-line code); so nothing
 a file gives, error or table, depends on the block size.  Each value is
 rounded as ``np.array(values, np.float32)`` rounds it; a value beyond
 float32's range loads as +-inf, as the literal ``inf`` does, without a
-warning.  The kept rows go straight into one float32 matrix, allocated
-at the first kept row, for the header's count, but for no more rows than
-``keep`` holds or the file can hold (each takes at least ``2 * dim + 1``
-bytes).  Without a header, or without a known size, it starts at no more
-than ``_TEXT_ROWS`` rows and doubles in place when full.
+warning.  A block's kept rows go into the matrix in one copy.
 
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
-and copies each row straight into a preallocated float32 matrix; what it
-returns or raises, byte offsets included, does not depend on where the
-chunk boundaries fall.  One loop takes every entry: it checks duplicates
+and copies each kept row straight into the matrix, which it asks for room
+once a refill, for every entry the buffer can still give; what it returns
+or raises, byte offsets included, does not depend on where the chunk
+boundaries fall.  One loop takes every entry: it checks duplicates
 on the token bytes, decodes only the tokens it keeps and steps over the
 optional newline.  An entry that is not wholly in the buffer with a byte
 after its row (so its newline is known) first goes through one branch,
@@ -62,7 +67,9 @@ the only code that refills the buffer or raises a format error other
 than a duplicate; a row cut short by the file's end is reported as a
 duplicate when its token is one.  An entry takes at least a space and
 ``4 * dim`` bytes, so a header promising more than the file can hold
-raises CountMismatchError or TruncatedFileError where the data runs out.
+raises CountMismatchError or TruncatedFileError where the data runs out;
+past the entries the reported size can hold, one read takes the rest of
+the file, so a row longer than the file is never buffered a chunk at a time.
 The header line may hold at most 128 bytes and a token at most 65536; a
 longer one raises MalformedHeaderError.
 
@@ -79,22 +86,22 @@ the kept rows are bit-identical to the full load's::
     table.tokens  # 'dog' and 'animal' in file order; 'unicorn' is not in the file
 
 Tokens are compared as loaded, so a binary token that is not valid UTF-8
-is kept by its ``surrogateescape`` string.  ``load_binary`` copies only
-kept rows, into a matrix sized for at most ``len(keep)`` of them; the
-set of token bytes seen, kept for the duplicate check, still grows with
-the file.  A table may be empty: that is what ``keep`` gives when none of
-its tokens is in the file.  Such a table cannot be written.
+is kept by its ``surrogateescape`` string.  Each loader copies only kept
+rows, into a matrix of at most ``len(keep)`` rows; the set of tokens seen,
+kept for the duplicate check, still grows with the file.  A table may be
+empty: that is what ``keep`` gives when none of its tokens is in the file.
+Such a table cannot be written.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 
 import numpy as np
 
 _CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
-_TEXT_ROWS = 1024  # load_text's first matrix rows when no header sizes it; it doubles
 _TEXT_BLOCK = 1 << 18  # characters load_text parses per numpy call; results do not depend on it
 _MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
@@ -224,9 +231,10 @@ def _keep_bytes(keep) -> set:
 
 
 def _file_size(fh):
-    """The size of the regular file ``fh``; None when unknown: a stream, or 0 bytes (/proc)."""
+    """The bytes the regular file ``fh`` reports from its position on; None when
+    unknown: a stream, or a file that reports 0 bytes (/proc)."""
     st = os.fstat(fh.fileno())
-    return st.st_size if stat.S_ISREG(st.st_mode) and st.st_size else None
+    return max(0, st.st_size - fh.tell()) if stat.S_ISREG(st.st_mode) and st.st_size else None
 
 
 def _header_sizes(count: int, dim: int, **where) -> tuple:
@@ -235,6 +243,41 @@ def _header_sizes(count: int, dim: int, **where) -> tuple:
         raise MalformedHeaderError(f"count and dim must be positive, got {count} and {dim}",
                                    **where)
     return count, dim
+
+
+class _Rows:
+    """The one float32 matrix a loader copies its kept rows into, and its size rule.
+
+    The matrix is flat, ``dim`` values a row.  It starts at the header's
+    ``count``, but at no more rows than ``keep`` holds or than ``size`` bytes
+    can hold at ``row_min`` bytes a row; it starts empty when the count or
+    the size is unknown.  ``room(rows)`` grows it to at least ``rows`` rows
+    and at least twice its rows, but doubles it no further than the count
+    allows, and never past ``len(keep)`` rows: a loader keeps no more.
+    ``table(tokens)`` trims it to one row a token.  Both resize in place where
+    the allocator can, so the matrix may move: release every view of it
+    before calling either, and take a new one after (a resize under a live
+    view writes through freed memory).
+    """
+
+    def __init__(self, dim: int, count, keep, size, row_min: int):
+        self.dim = dim
+        self.count = math.inf if count is None else count
+        self.most = math.inf if keep is None else len(keep)
+        start = 0 if count is None or size is None else min(count, self.most, size // row_min)
+        self.matrix = np.empty(start * dim, "<f4")
+
+    def room(self, rows: int) -> None:
+        """Make the matrix hold at least ``rows`` rows, or ``len(keep)`` if fewer."""
+        have = len(self.matrix) // self.dim
+        if have < min(rows, self.most):
+            grown = min(max(rows, min(2 * have, self.count)), self.most)
+            self.matrix.resize(grown * self.dim, refcheck=False)
+
+    def table(self, tokens: list) -> EmbeddingTable:
+        """The table of ``tokens`` and the first ``len(tokens)`` rows; frees the rest."""
+        self.matrix.resize(len(tokens) * self.dim, refcheck=False)
+        return EmbeddingTable(tokens, self.matrix.reshape(len(tokens), self.dim))
 
 
 def load_binary(path, keep=None) -> EmbeddingTable:
@@ -256,14 +299,13 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         count, dim = _header_sizes(int(parts[0]), int(parts[1]), offset=0)
         row_bytes = 4 * dim
         base = len(header)  # file offset of buf[0]
-        size = _file_size(fh)
-        # an entry takes at least a space and a row, so a file cannot hold
-        # more rows than this whatever its header says
-        rows = count if size is None else min(count, (size - base) // (row_bytes + 1))
-        most = rows if keep is None else min(rows, len(keep))  # rows the table can get
-        # a stream's size is unknown, so its matrix grows as its rows arrive
-        matrix = np.empty((0 if size is None else most) * dim, dtype="<f4")
-        out = memoryview(matrix).cast("B")
+        size = _file_size(fh)  # of the entries
+        # an entry takes at least a space and a row
+        sink = _Rows(dim, count, keep, size, row_bytes + 1)
+        # entries from `rows` on lie past the reported size, which holds less
+        # than a row after them, unless the file is longer than it reports
+        rows = count if size is None else size // (row_bytes + 1)
+        out = memoryview(sink.matrix).cast("B")
         tokens = []
         n = 0  # rows copied
         seen = set()  # every token's bytes, kept or not
@@ -278,12 +320,13 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                 # the entry is not wholly in buf with a byte after its row (its
                 # optional newline): read until it is, or until the file ends;
                 # a refill keeps the entry's unread bytes, so every offset is
-                # base + index into buf.  Entry `rows` cannot hold its row, so
-                # its token is enough.
-                while not eof and (end - pos <= limit if sp < 0 else stop >= end and i < rows):
+                # base + index into buf.  From entry `rows` on, one read takes
+                # the rest of the file, so a row longer than the file is not
+                # buffered a chunk at a time
+                while not eof and (end - pos <= limit if sp < 0 else stop >= end):
                     # free the old buffer before reading
                     tail, base, buf = buf[pos:], base + pos, None
-                    buf = tail + fh.read(_CHUNK)
+                    buf = tail + fh.read(_CHUNK if i < rows else -1)
                     pos, end, eof = 0, len(buf), len(buf) == len(tail)
                     sp = buf.find(b" ", pos, pos + limit + 1)
                     stop = sp + 1 + row_bytes
@@ -302,11 +345,10 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                     raise TruncatedFileError(
                         f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
                     )
-                need = min(most, n + (end - pos) // (row_bytes + 1))  # n once all of buf is copied
-                if need * row_bytes > len(out):
-                    grown = np.empty(min(most, max(need, 2 * n)) * dim, dtype="<f4")
-                    grown[:n * dim] = matrix[:n * dim]
-                    matrix, out = grown, memoryview(grown).cast("B")
+                # room for every entry buf can still give
+                out.release()
+                sink.room(n + min(count - i, (end - pos) // (row_bytes + 1)))
+                out = memoryview(sink.matrix).cast("B")
             raw = buf[pos:sp]
             if raw in seen:
                 token = raw.decode("utf-8", errors="surrogateescape")
@@ -322,10 +364,8 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                 f"file continues past the {count} promised entries", offset=base + pos
             )
     del seen  # the table's vocabulary replaces it; do not hold both
-    if n * dim < len(matrix):  # fewer rows kept than allocated: free the spare ones
-        out.release()
-        matrix.resize(n * dim, refcheck=False)
-    return EmbeddingTable(tokens, matrix.reshape(n, dim))
+    out.release()
+    return sink.table(tokens)
 
 
 def _refuse_empty(table: EmbeddingTable) -> None:
@@ -390,10 +430,13 @@ class _TextRows:
         self.keep = keep
         self.size = size  # of a regular file; None when unknown
         self.tokens = []  # kept, in file order
-        self.matrix = None  # allocated at the first kept row, once dim is known
         self.seen = set()  # every row's token, kept or not
         self.count = None  # the header's
-        self.dim = None  # the header's, or the first row's
+        self.sink = None  # made once the header or the first row fixes dim
+
+    def _start(self, dim: int) -> None:
+        # a row takes a token byte and dim values, each after a separator
+        self.sink = _Rows(dim, self.count, self.keep, self.size, 2 * dim + 1)
 
     def line(self, lineno: int, raw: str) -> None:
         reason = _not_utf8(raw)
@@ -402,16 +445,18 @@ class _TextRows:
         fields = raw.split()
         if not fields:
             return
-        if self.dim is None and self.count is None and _looks_like_header(fields):
-            self.count, self.dim = _header_sizes(int(fields[0]), int(fields[1]), line=lineno)
+        if self.sink is None and _looks_like_header(fields):
+            self.count, dim = _header_sizes(int(fields[0]), int(fields[1]), line=lineno)
+            self._start(dim)
             return
         token, values = fields[0], fields[1:]
         if not values:
             raise TextFormatError(f"token {token!r} has no values", line=lineno)
-        if self.dim is None:
-            self.dim = len(values)
-        elif len(values) != self.dim:
-            raise TextFormatError(f"expected {self.dim} values, got {len(values)}", line=lineno)
+        if self.sink is None:
+            self._start(len(values))
+        elif len(values) != self.sink.dim:
+            raise TextFormatError(f"expected {self.sink.dim} values, got {len(values)}",
+                                  line=lineno)
         if token in self.seen:
             raise DuplicateTokenError(f"duplicate token {token!r}", line=lineno)
         self.seen.add(token)
@@ -462,24 +507,13 @@ class _TextRows:
             values = np.loadtxt(fields, np.float32, comments=None, ndmin=2)
         except ValueError:  # a value float() may yet accept, or a row of another length
             return None
-        return (tokens, values) if values.shape == (len(tokens), self.dim) else None
+        return (tokens, values) if values.shape == (len(tokens), self.sink.dim) else None
 
     def _store(self, tokens: list, values) -> None:
-        n, dim = len(self.tokens), self.dim
-        if self.matrix is None:
-            most = _TEXT_ROWS if self.count is None else self.count
-            if self.size is None:  # a stream: its header may promise any count
-                most = min(most, _TEXT_ROWS)
-            else:  # a row takes a token byte and dim values, each after a
-                # separator; max: the file may have grown since its size was read
-                most = min(most, max(1, self.size // (2 * dim + 1)))
-            if self.keep is not None:
-                most = min(most, len(self.keep))
-            self.matrix = np.empty((most, dim), np.float32)
-        if n + len(tokens) > len(self.matrix):
-            # no view of the matrix exists, so it may be reallocated
-            self.matrix.resize((max(2 * n, n + len(tokens)), dim), refcheck=False)
-        self.matrix[n:n + len(tokens)] = values  # rounds as np.array(values, np.float32) does
+        n = len(self.tokens)
+        self.sink.room(n + len(tokens))
+        # rounds as np.array(values, np.float32) does
+        self.sink.matrix.reshape(-1, self.sink.dim)[n:n + len(tokens)] = values
         self.tokens += tokens
 
     def table(self) -> EmbeddingTable:
@@ -489,12 +523,7 @@ class _TextRows:
             raise CountMismatchError(
                 f"header promises {self.count} entries but the file has {len(self.seen)}"
             )
-        n = len(self.tokens)
-        if self.matrix is None:
-            return EmbeddingTable([], np.empty((0, self.dim), np.float32))
-        if n < len(self.matrix):
-            self.matrix.resize((n, self.dim), refcheck=False)  # frees the spare rows
-        return EmbeddingTable(self.tokens, self.matrix)
+        return self.sink.table(self.tokens)
 
 
 def load_text(path, keep=None) -> EmbeddingTable:
@@ -509,7 +538,7 @@ def load_text(path, keep=None) -> EmbeddingTable:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:  # line by line until the header or first row fixes dim
             rows.line(lineno, raw)
-            if rows.dim is not None:
+            if rows.sink is not None:
                 break
         block, chars = [], 0
         for lineno, raw in lines:

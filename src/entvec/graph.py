@@ -30,10 +30,12 @@ each value gets the same additions, in kind order and then edge order,
 as one term at a time.
 
 Values are clamped to +/-``clamp`` after every update so the sigmoids
-and logs stay finite; a genuinely divergent negative-edge term (possible
+and logs stay finite; one genuinely divergent negative-edge term (possible
 when C reaches 1, e.g. in one dimension) saturates at the clamp instead
-of erroring.  NaN is always an error, reported at the first node in
-declaration order that produced it.  Undamped sweeps can oscillate
+of erroring.  Two such terms of opposite sign that meet in one node (a
++inf and a -inf, as ``notentail a b`` and ``notentail b a`` in one
+dimension give) sum to NaN.  NaN is always an error, SolverNumericsError,
+reported at the first node in declaration order that produced it.  Undamped sweeps can oscillate
 instead of converging on graphs with many sibling negative edges;
 ``damping`` (e.g. 0.3) restores convergence there.
 

@@ -374,6 +374,14 @@ class TestGraphCommand:
     def test_missing_file(self, capsys):
         assert main(["graph", "--file", "/nonexistent.graph"]) == 2
 
+    def test_opposite_divergent_negative_edges_exit_two(self, capsys, tmp_path):
+        graph = tmp_path / "opposite.graph"
+        graph.write_text("node a 1\nnode b 1\nnotentail a b\nnotentail b a\n")
+        assert main(["graph", "--file", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "entvec: error: NaN update for node 'a' dimension 0 at sweep 1\n"
+
     def test_format_error_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("node a 1\nfrobnicate a\n")

@@ -375,6 +375,18 @@ class TestGraphInfer:
         assert result.assignments["b"][0] == 30.0
         assert result.assignments["a"][0] == -30.0
 
+    def test_opposite_divergent_negative_edges_are_nan(self):
+        # either edge alone saturates at the clamp; together they give node a
+        # a +inf and a -inf term, which sum to NaN
+        g = EntailmentGraph()
+        g.add_node("a", dim=1)
+        g.add_node("b", dim=1)
+        g.add_not_entail("a", "b")
+        g.add_not_entail("b", "a")
+        with pytest.raises(SolverNumericsError) as exc_info:
+            graph_infer(g)
+        assert str(exc_info.value) == "NaN update for node 'a' dimension 0 at sweep 1"
+
     def test_deterministic(self):
         def run():
             g = EntailmentGraph()
