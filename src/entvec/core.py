@@ -35,6 +35,14 @@ gathers them to pair rows a block at a time and reduces exactly as the
 aligned call does, so the scores are bitwise those of the aligned call on
 gathered rows.
 
+With ``tables=``, an operator reads the tables of its one array (passed
+as both arguments) from that mapping of table name to array instead of
+building them, so a caller that scores several operators on one array
+builds them once.  The tables of -v are those of v with each name and
+its negated name swapped (``_NEGATED``), bit for bit: the negated tables
+of v are computed from -v, which negation gives exactly, and from the
+z = exp(-|v|) that v and -v share.
+
 The factorized failure probability sigma(-y_k) sigma(x_k) is capped at
 ``MAX_FAILURE_PROB`` = 1 - 1e-12, the one saturation rule: evaluation and
 mapped training both score through these formulas, and stay finite.
@@ -105,6 +113,11 @@ def _tables(v: np.ndarray, *names: str) -> dict:
             out[log_sig] = m
         del m
     return {name: out[name].reshape(v.shape) for name in names}
+
+
+# the table of -v that each table of v is, bit for bit
+_NEGATED = {"sigmoid": "sigmoid_neg", "sigmoid_neg": "sigmoid",
+            "log_sigmoid": "log_sigmoid_neg", "log_sigmoid_neg": "log_sigmoid"}
 
 
 def sigmoid(x):
@@ -234,14 +247,21 @@ def _score_grads(op: str, y, x):
     return _terms(op, ty[name_y], tx[name_x]).sum(axis=-1), dy, dx
 
 
-def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs):
+def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs, tables):
     """Score "y entails x"; with ``pairs`` = (i, j), row i of y against row j of x.
 
     Each table is evaluated once per distinct array (once in all when y is
-    x), then gathered to pair rows block by block.
+    x), or read from ``tables`` when y is x, then gathered to pair rows
+    block by block.
     """
     name_y, name_x = _OPERATOR_TABLES[op]
-    if y is x:
+    if tables is not None:
+        if y is not x or any(n not in tables or np.shape(tables[n]) != y.shape
+                             for n in (name_y, name_x)):
+            raise ValueError(f"tables= needs the {name_y} and {name_x} tables, of shape "
+                             f"{y.shape}, of the one array passed as both arguments")
+        ty = tx = tables
+    elif y is x:
         ty = tx = _tables(y, name_y, name_x)
     else:
         ty, tx = _tables(y, name_y), _tables(x, name_x)
@@ -253,30 +273,31 @@ def _entail(op: str, y: np.ndarray, x: np.ndarray, pairs):
     return float(total) if total.ndim == 0 else total
 
 
-def entail_forward(x, y, pairs=None):
+def entail_forward(x, y, pairs=None, tables=None):
     """Forward-inference score of "y entails x": sum_k sigma(x_k) log sigma(y_k).
 
     ``x`` is the entailed vector (consequent) and ``y`` the entailing one
     (antecedent).  Always <= 0; approaches 0 when x is all-unknown or y
     all-known.  With ``pairs`` = (i, j), scores row i of x against row j
-    of y.
+    of y.  ``tables`` (see the module docstring) are the tables of x when
+    x is y.
     """
     x, y = _check_pair(x, y, "x", "y", pairs is not None)
-    return _entail("fwd", y, x, None if pairs is None else pairs[::-1])
+    return _entail("fwd", y, x, None if pairs is None else pairs[::-1], tables)
 
 
-def entail_backward(y, x, pairs=None):
+def entail_backward(y, x, pairs=None, tables=None):
     """Backward-inference score of "y entails x": sum_k sigma(-y_k) log sigma(-x_k).
 
     Note the argument order (antecedent first) mirrors the direction the
     score is read: y => x.  With ``pairs`` = (i, j), scores row i of y
-    against row j of x.
+    against row j of x.  ``tables`` are the tables of y when y is x.
     """
     y, x = _check_pair(y, x, "y", "x", pairs is not None)
-    return _entail("bwd", y, x, pairs)
+    return _entail("bwd", y, x, pairs, tables)
 
 
-def entail_factorized(y, x, pairs=None):
+def entail_factorized(y, x, pairs=None, tables=None):
     """Exact log-probability of "y entails x" under factorized marginals.
 
     Per dimension this is log(1 - sigma(-y_k) sigma(x_k)): the chance we
@@ -284,7 +305,8 @@ def entail_factorized(y, x, pairs=None):
     Computed with log1p for accuracy near 0.  The failure probability is
     capped at ``MAX_FAILURE_PROB``, so the score stays finite even when a
     feature is surely known in x and surely unknown in y.  With ``pairs``
-    = (i, j), scores row i of y against row j of x.
+    = (i, j), scores row i of y against row j of x.  ``tables`` are the
+    tables of y when y is x.
     """
     y, x = _check_pair(y, x, "y", "x", pairs is not None)
-    return _entail("fact", y, x, pairs)
+    return _entail("fact", y, x, pairs, tables)

@@ -209,6 +209,14 @@ class EmbeddingTable:
             return None
         return self._matrix[idx].astype(np.float64)
 
+    def rows(self, tokens) -> np.ndarray:
+        """The tokens' vectors as one fresh float64 (len(tokens), dim) matrix.
+
+        One gather of the float32 rows, cast once; KeyError names a token
+        that is not in the table.
+        """
+        return self._matrix[[self._vocab[t] for t in tokens]].astype(np.float64)
+
 
 def _keep_bytes(keep) -> set:
     """``keep``'s tokens as the bytes a binary file spells them with.
@@ -324,8 +332,9 @@ def load_binary(path, keep=None) -> EmbeddingTable:
                 # the rest of the file, so a row longer than the file is not
                 # buffered a chunk at a time
                 while not eof and (end - pos <= limit if sp < 0 else stop >= end):
-                    # free the old buffer before reading
-                    tail, base, buf = buf[pos:], base + pos, None
+                    # read before the old buffer is dropped: freed first, its
+                    # memory can go back to the OS and fault in again for the read
+                    tail, base = buf[pos:], base + pos
                     buf = tail + fh.read(_CHUNK if i < rows else -1)
                     pos, end, eof = 0, len(buf), len(buf) == len(tail)
                     sp = buf.find(b" ", pos, pos + limit + 1)

@@ -31,6 +31,17 @@ Method tokens understood by ``run_eval``:
 
 Mapped methods train on each fold's filtered training pairs and pool the
 held-out test scores across folds before computing both metrics.
+
+The operator methods read sigma / log sigma tables of their words.
+``run_eval`` builds them once per copy base, before any method runs
+(``interpret._reading_tables``): one set of dup's copies [raw, -raw] for
+logodds and dup, since a table of -v is the table of v with v and -v
+swapped (exact: v and -v share exp(-|v|)), and one of unkdup's shifted
+copies.  Each method gets its reading's set as ``pair_score``'s
+``tables=``, still transforms and checks its words, and scores the bits it
+would score alone.  The tables are read-only and live for one ``run_eval``
+call.  A request with a non-finite word builds none: the methods' own
+checks report it, in method order.
 """
 
 from __future__ import annotations
@@ -154,7 +165,7 @@ def resolve_pairs(pairs, table: EmbeddingTable):
     rows = {}
     hi = np.array([rows.setdefault(pairs[n].hypo, len(rows)) for n in kept], dtype=np.intp)
     gi = np.array([rows.setdefault(pairs[n].hyper, len(rows)) for n in kept], dtype=np.intp)
-    words = np.stack([table.lookup(w) for w in rows])
+    words = table.rows(rows)
     labels = np.array([pairs[n].label for n in kept], dtype=np.int64)
     return np.array(kept, dtype=np.intp), len(pairs) - len(kept), words, hi, gi, labels
 
@@ -280,7 +291,8 @@ def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
     position of hyper_k in descending order, before taking the cosine.
     Accepts (..., d) batches; returns a float for single vectors.  With
     ``pairs`` = (i, j), row i of ``hypo_vec`` is scored against row j of
-    ``hyper_vec``; the rank weights are computed once per hypernym row,
+    ``hyper_vec``; the rank weights and the hypernym's weighted norm
+    depend on the hypernym row alone, so they are computed once per row,
     before the rows are gathered.
     """
     if kind not in BASELINE_METHODS:
@@ -294,23 +306,25 @@ def baseline_score(kind: str, hypo_vec, hyper_vec, pairs=None):
                          f"hypo has shape {h.shape} and hyper has shape {g.shape}")
     if h.ndim == 0 or h.shape[-1] == 0:
         raise ValueError("vectors must have at least one dimension")
-    w = _hyper_rank_weights(g) if kind == "wcos" else None
+    per_hyper = ()  # wcos's rank weights and weighted norm of each hypernym row
+    if kind == "wcos":
+        w = _hyper_rank_weights(g)
+        per_hyper = (w, np.sqrt(np.sum(w * g * g, axis=-1)))
     if pairs is None:
-        out = _baseline(kind, h, g, w)
+        out = _baseline(kind, h, g, *per_hyper)
     else:
-        out = _pair_rows(lambda i, j: _baseline(kind, h[i], g[j], None if w is None else w[j]),
+        out = _pair_rows(lambda i, j: _baseline(kind, h[i], g[j], *(a[j] for a in per_hyper)),
                          pairs, h.shape[1])
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _baseline(kind, h, g, w):
+def _baseline(kind, h, g, w=None, g_norm=None):
     if kind == "dot":
         return np.sum(h * g, axis=-1)
     if kind == "dif":
         return np.sum(g - h, axis=-1)
     num = np.sum(w * h * g, axis=-1)
     h_norm = np.sqrt(np.sum(w * h * h, axis=-1))
-    g_norm = np.sqrt(np.sum(w * g * g, axis=-1))
     if np.any(h_norm == 0.0) or np.any(g_norm == 0.0):
         raise ValueError("wcos is undefined for zero-weight-norm vectors")
     return num / (h_norm * g_norm)
@@ -404,7 +418,11 @@ def _mapped_scores(method, folds, rows, train_config):
 
 
 def run_eval(request: EvalRequest) -> EvalReport:
-    """Score every requested method and aggregate both metrics into a report."""
+    """Score every requested method and aggregate both metrics into a report.
+
+    The operator methods share one set of tables per copy base (see the
+    module docstring); ``threads`` > 1 gives the report of ``threads`` = 1.
+    """
     methods = tuple(request.methods)
     readings = _method_readings(methods, request.shift)
     _check_threads(request.threads)
@@ -423,15 +441,21 @@ def run_eval(request: EvalRequest) -> EvalReport:
     dataset = WordPairDataset(pairs=[pairs[n] for n in kept])
     if any(m in MAPPED_METHODS for m in methods):
         dataset = make_folds(dataset, request.k_folds, request.seed)
+    # a non-finite word builds no tables: each method's own check reports it
+    tables = {}
+    if readings and np.all(np.isfinite(words)):
+        tables = interpret._reading_tables(
+            words, {(readings[m], OPERATOR_METHODS[m][1]) for m in readings})
 
     def one(method):
         if method in MAPPED_METHODS:
             scores, rev = _mapped_scores(method, dataset.folds, resolved, request.train_config)
             rev = rev[pos_mask]
         elif method in readings:
+            reading = readings[method]
             scores, rev = np.split(interpret.pair_score(
-                words, words, readings[method], OPERATOR_METHODS[method][1], pairs=both),
-                [labels.size])
+                words, words, reading, OPERATOR_METHODS[method][1], pairs=both,
+                tables=tables.get(reading)), [labels.size])
         else:
             scores, rev = np.split(baseline_score(method, words, words, pairs=both),
                                    [labels.size])

@@ -20,6 +20,15 @@ is how well that hidden vector entails both.  Comparing the gradient of
 that score with the skip-gram/negative-sampling gradient log sigma(m . c)
 is what motivates the readings, and ``gradient_grid`` reproduces that
 comparison on 1-d instances.
+
+Scoring several operators on one matrix of words needs each sigma / log
+sigma table of a reading once.  ``_reading_tables`` builds them once per
+copy base, and ``pair_score`` reads a reading's set through ``tables=``.
+logodds and dup share one base, dup's copies [raw, -raw]: a table of -v
+is the table of v with the negated name (``core._NEGATED``, exact because
+v and -v share exp(-|v|)), so the sigma(-.) and log sigma(-.) tables of
+that base hold every table of both readings.  unkdup's shifted copies
+serve each of its operators.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
+    _NEGATED,
     _OPERATOR_TABLES,
     DimensionMismatchError,
     entail_backward,
@@ -98,6 +109,11 @@ def transform(raw, interp: Interpretation) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw vector contains non-finite values")
+    return _copies(raw, interp)
+
+
+def _copies(raw: np.ndarray, interp: Interpretation) -> np.ndarray:
+    """``transform`` of a float64 ``raw`` that is not checked for finite values."""
     # negate and concatenate, then shift in place: the offsets make no temporaries
     out = np.concatenate([raw if sign > 0 else -raw for sign, _ in interp.copies], axis=-1)
     offsets = [offset for _, offset in interp.copies]
@@ -113,7 +129,8 @@ def unknown_mass(values, shift: float = 1.0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None):
+def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None,
+               tables=None):
     """Score "hyponym entails hypernym" for raw embedding vectors.
 
     Both arguments are transformed under ``interp`` (once when they are
@@ -122,16 +139,78 @@ def pair_score(hypo_raw, hyper_raw, interp: Interpretation, op: str, pairs=None)
     With ``pairs`` = (i, j), row i of ``hypo_raw`` is scored against row j
     of ``hyper_raw``: pass one (words, d) matrix as both arguments and the
     operator's tables are built once per word, not once per pair row.
+    ``tables``, for one matrix passed as both arguments, is its set from
+    ``_reading_tables``: the operator reads it instead of building its own,
+    and the scores are the same bits.
     """
     if op not in _OPERATOR_TABLES:
         raise ValueError(f"unknown operator {op!r}; expected fwd, bwd or fact")
     y = transform(hypo_raw, interp)
     x = y if hyper_raw is hypo_raw else transform(hyper_raw, interp)
     if op == "fwd":
-        return entail_forward(x, y, pairs=None if pairs is None else pairs[::-1])
+        return entail_forward(x, y, pairs=None if pairs is None else pairs[::-1], tables=tables)
     if op == "bwd":
-        return entail_backward(y, x, pairs=pairs)
-    return entail_factorized(y, x, pairs=pairs)
+        return entail_backward(y, x, pairs=pairs, tables=tables)
+    return entail_factorized(y, x, pairs=pairs, tables=tables)
+
+
+def _reading_tables(raw: np.ndarray, uses) -> dict:
+    """The tables ``pair_score(raw, raw, interp, op, tables=...)`` reads, per reading.
+
+    ``uses`` holds ``(interp, op)`` pairs; returns {interp: {table name:
+    table of transform(raw, interp)}} with every table its operators read.
+    One ``core._tables`` call serves each copy base.  The readings without
+    a shift (logodds and dup) share one base: the finite float64 ``raw``,
+    or dup's copies [raw, -raw] when a reading has the copy -raw.  A table
+    of -v is the table of v with the negated name (``core._NEGATED``, exact),
+    so with both copies in the base only the tables of sigma(-.) and
+    log sigma(-.) are built, and logodds reads its tables as halves of
+    them.  Each shifted reading (unkdup) builds its tables from its own
+    copies, once for all of its operators.
+    """
+    names = {}
+    for interp, op in uses:
+        names.setdefault(interp, set()).update(_OPERATOR_TABLES[op])
+    out = {}
+    unshifted = [interp for interp in names if not any(offset for _, offset in interp.copies)]
+    if unshifted:
+        signs = sorted({sign for interp in unshifted for sign, _ in interp.copies}, reverse=True)
+
+        def part(sign, name):
+            """(base table, block) that is table ``name`` of the copy sign * raw."""
+            if -sign in signs and not name.endswith("_neg"):
+                sign, name = -sign, _NEGATED[name]
+            return name, signs.index(sign)
+
+        parts = {interp: {name: [part(sign, name) for sign, _ in interp.copies]
+                          for name in names[interp]} for interp in unshifted}
+        base = core._tables(raw if signs == [1] else _copies(raw, DUP),
+                            *sorted({name for tables in parts.values()
+                                     for table in tables.values() for name, _ in table}))
+        for interp, tables in parts.items():
+            out[interp] = {name: _blocks(base, table, len(signs))
+                           for name, table in tables.items()}
+    for interp in names.keys() - out.keys():
+        out[interp] = core._tables(_copies(raw, interp), *sorted(names[interp]))
+    for tables in out.values():  # methods on several threads share them
+        for table in tables.values():
+            table.setflags(write=False)
+    return out
+
+
+def _blocks(base: dict, parts: list, n_blocks: int) -> np.ndarray:
+    """The ``(table name, block)`` ``parts`` of the ``base`` tables, side by side.
+
+    Each base table holds ``n_blocks`` equal blocks along its last axis.  A
+    whole table in block order is that table and one block is a view of it;
+    only another order is copied.
+    """
+    name = parts[0][0]
+    if parts == [(name, k) for k in range(n_blocks)]:
+        return base[name]
+    width = base[name].shape[-1] // n_blocks
+    views = [base[n][..., k * width:(k + 1) * width] for n, k in parts]
+    return views[0] if len(views) == 1 else np.concatenate(views, axis=-1)
 
 
 @dataclass(frozen=True)

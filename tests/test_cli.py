@@ -230,10 +230,10 @@ class TestTrainCommand:
         assert "training pairs" in captured.err
 
     def test_resolves_the_pairs_once(self, capsys, tmp_path, monkeypatch):
-        lookups = []
-        lookup = EmbeddingTable.lookup
-        monkeypatch.setattr(EmbeddingTable, "lookup",
-                            lambda self, token: lookups.append(token) or lookup(self, token))
+        gathers = []  # the tokens of each gather of table rows
+        rows = EmbeddingTable.rows
+        monkeypatch.setattr(EmbeddingTable, "rows", lambda self, tokens:
+                            gathers.append(list(tokens)) or rows(self, tokens))
         vec_path, pair_path = write_disjoint_fixture(tmp_path, n_pairs=6)
         with open(pair_path, "a", encoding="utf-8") as fh:
             fh.write("hypo0\tghost\t1\n")
@@ -242,8 +242,9 @@ class TestTrainCommand:
             "--out-dir", str(tmp_path / "m"), "--folds", "2", "--epochs", "1",
         ]) == 0
         assert "dropped 1 out-of-vocabulary pairs" in capsys.readouterr().err
-        assert sorted(lookups) == sorted(f"{kind}{i}" for kind in ("hypo", "hyper")
-                                         for i in range(6))
+        assert len(gathers) == 1
+        assert sorted(gathers[0]) == sorted(f"{kind}{i}" for kind in ("hypo", "hyper")
+                                            for i in range(6))
 
     def test_bad_out_dir_is_reported_before_any_file_is_read(self, capsys, tmp_path):
         out_file = tmp_path / "models"

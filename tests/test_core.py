@@ -224,6 +224,12 @@ class TestTables:
         assert set(core._tables(self.V, "log_sigmoid_neg")) == {"log_sigmoid_neg"}
         assert set(core._tables(self.V, "sigmoid", "log_sigmoid")) == {"sigmoid", "log_sigmoid"}
 
+    def test_negation_swaps_the_tables_bitwise(self):
+        names = sorted(core._NEGATED)
+        of_v, of_neg = core._tables(self.V, *names), core._tables(-self.V, *names)
+        for name in names:
+            assert of_neg[name].tobytes() == of_v[core._NEGATED[name]].tobytes(), name
+
     def test_scalar_input(self):
         got = core._tables(np.asarray(-2.5), "sigmoid", "log_sigmoid_neg")
         want = _reference_tables(np.asarray(-2.5))
@@ -232,8 +238,8 @@ class TestTables:
 
 
 OPS = {
-    "fwd": lambda y, x, pairs=None: entail_forward(
-        x, y, pairs=None if pairs is None else pairs[::-1]),
+    "fwd": lambda y, x, pairs=None, tables=None: entail_forward(
+        x, y, pairs=None if pairs is None else pairs[::-1], tables=tables),
     "bwd": entail_backward,
     "fact": entail_factorized,
 }
@@ -361,3 +367,37 @@ class TestPairs:
         calls.clear()
         entail_forward(words, words.copy())  # aligned, two arrays: one table each
         assert sorted(calls) == [("log_sigmoid",), ("sigmoid",)]
+
+
+class TestGivenTables:
+    """``tables=`` hands an operator the tables of its one array: it builds none."""
+
+    ALL = ("log_sigmoid", "log_sigmoid_neg", "sigmoid", "sigmoid_neg")
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("paired", [False, True], ids=["aligned", "pairs"])
+    def test_scores_are_the_built_tables_scores(self, monkeypatch, op, paired):
+        words = _word_table(5)
+        pairs = (TestPairs.I, TestPairs.J) if paired else None
+        tables = core._tables(words, *self.ALL)
+        want = OPS[op](words, words, pairs=pairs)
+        monkeypatch.setattr(core, "_tables", lambda v, *names: pytest.fail(names))
+        got = OPS[op](words, words, pairs=pairs, tables=tables)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_rejects_tables_of_another_shape_or_two_arrays(self):
+        words = _word_table(3)
+        tables = core._tables(words, *self.ALL)
+        with pytest.raises(ValueError, match="tables="):
+            entail_backward(words[:4], words[:4], tables=tables)
+        with pytest.raises(ValueError, match="tables="):
+            entail_backward(words, words.copy(), tables=tables)
+        with pytest.raises(ValueError, match="sigmoid_neg and sigmoid"):
+            entail_factorized(words, words, tables={"sigmoid": tables["sigmoid"]})
+
+    def test_checks_its_array_before_reading_tables(self):
+        words = _word_table(3)
+        tables = core._tables(words, *self.ALL)
+        words[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            entail_forward(words, words, tables=tables)

@@ -64,6 +64,17 @@ class TestEmbeddingTable:
         vec[0] = 99.0
         np.testing.assert_array_equal(table.lookup("dog"), [1.5, -2.25])
 
+    def test_rows_gather_float64_copies(self):
+        table = small_table()
+        tokens = ["café", "dog", "café"]
+        got = table.rows(tokens)
+        assert got.dtype == np.float64 and got.shape == (3, table.dim)
+        assert got.tobytes() == np.stack([table.lookup(t) for t in tokens]).tobytes()
+        got[1, 0] = 99.0
+        np.testing.assert_array_equal(table.lookup("dog"), [1.5, -2.25])
+        with pytest.raises(KeyError, match="sofa"):
+            table.rows(["dog", "sofa"])
+
     def test_lookup_missing_returns_none(self):
         assert small_table().lookup("sofa") is None
 
@@ -602,7 +613,9 @@ class TestTextHeaders:
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 class TestTextStream:
     def test_a_stream_loads_as_the_file_does(self, tmp_path):
-        # more rows than the first matrix of a stream holds, so it grows
+        # about 129 KB of text, more than a pipe buffers (64 KB on Linux), so the
+        # loader reads while the writer still writes.  A stream's matrix starts
+        # empty and grows at any row count; 3077 needs no special value
         rows = 3077
         rng = np.random.default_rng(5)
         tokens = [f"w{k}" for k in range(rows)]
@@ -637,7 +650,7 @@ class TestUnknownSize:
     """A regular file that reports 0 bytes, as files under /proc do, has no known
     size: each loader reads it as it reads a stream of the same bytes."""
 
-    ROWS = 3077
+    ROWS = 3077  # TestTextStream's count; a matrix of unknown size grows from empty at any
 
     def cases(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from entvec import evaluation, interpret
+from entvec import core, evaluation, interpret
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import (
     ALL_METHODS,
@@ -348,6 +348,16 @@ class TestBaselinePairs:
         with pytest.raises(ValueError, match="pairs="):
             baseline_score("dot", np.ones((2, 3)), np.ones((2, 4)), pairs=([0], [1]))
 
+    def test_wcos_is_the_per_pair_formula(self):
+        # the hypernym norm, taken once per word, is the bits of one taken per pair
+        words = self._words()
+        got = baseline_score("wcos", words, words, pairs=(self.I, self.J))
+        for k, (i, j) in enumerate(zip(self.I, self.J)):
+            h, g = words[i], words[j]
+            w = _hyper_rank_weights(g)
+            want = np.sum(w * h * g) / (np.sqrt(np.sum(w * h * h)) * np.sqrt(np.sum(w * g * g)))
+            assert got[k] == want, (i, j)
+
     def test_zero_norm_still_errors(self):
         words = np.array([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="zero-weight-norm"):
@@ -508,11 +518,11 @@ class TestRunEval:
         assert messages[0] == messages[1]
 
     def test_mapped_methods_resolve_the_pairs_once(self, monkeypatch):
-        # training takes run_eval's rows, so each in-vocabulary word is looked up once
-        lookups = []
-        lookup = EmbeddingTable.lookup
-        monkeypatch.setattr(EmbeddingTable, "lookup",
-                            lambda self, token: lookups.append(token) or lookup(self, token))
+        # training takes run_eval's rows, so each in-vocabulary word is gathered once
+        gathers = []  # the tokens of each gather of table rows
+        rows = EmbeddingTable.rows
+        monkeypatch.setattr(EmbeddingTable, "rows", lambda self, tokens:
+                            gathers.append(list(tokens)) or rows(self, tokens))
         rng = np.random.default_rng(3)
         tokens = [f"w{k}" for k in range(16)]
         table = EmbeddingTable(tokens, rng.normal(size=(16, 4)).astype(np.float32))
@@ -522,14 +532,102 @@ class TestRunEval:
             WordPairDataset(pairs), table, methods=("mapped-bwd", "mapped-fact", "mapped-dif"),
             k_folds=2, train_config=TrainConfig(epochs=1, batch_size=4), threads=2))
         assert [row.n_dropped_oov for row in report.rows] == [1, 1, 1]
-        assert sorted(lookups) == sorted(tokens)
+        assert len(gathers) == 1
+        assert sorted(gathers[0]) == sorted(tokens)
 
     def test_bad_shift_is_rejected_before_any_row_is_read(self, monkeypatch):
         dataset, table = toy_fixture()
         monkeypatch.setattr(EmbeddingTable, "lookup", lambda self, token: pytest.fail(token))
+        monkeypatch.setattr(EmbeddingTable, "rows", lambda self, tokens: pytest.fail(tokens))
         with pytest.raises(ValueError, match="unkdup shift must be finite, got inf"):
             run_eval(EvalRequest(dataset, table, methods=("dot", "unkdup-bwd"),
                                  shift=float("inf")))
+
+
+def saturated_word_fixture():
+    """shared_word_fixture with saturating words: rows at +/-800, and a row of
+    zeros and +/-800."""
+    dataset, table = shared_word_fixture()
+    matrix = np.array(table.matrix)
+    matrix[0], matrix[1] = 800.0, -800.0
+    matrix[2] = [0.0, -0.0, 800.0, -800.0, 1e-30, -1e-30]
+    return dataset, EmbeddingTable(table.tokens, matrix)
+
+
+class TestSharedTables:
+    """run_eval builds the operator methods' tables once per copy base and hands
+    each method its reading's set through ``pair_score(..., tables=)``."""
+
+    @staticmethod
+    def scored(monkeypatch, request):
+        """run_eval's report, and (reading, op, pairs, tables, scores) per pair_score call."""
+        calls = []
+        real = interpret.pair_score
+
+        def spy(hypo, hyper, interp, op, pairs=None, tables=None):
+            scores = real(hypo, hyper, interp, op, pairs=pairs, tables=tables)
+            calls.append((hypo, interp, op, pairs, tables, scores))
+            return scores
+
+        monkeypatch.setattr(interpret, "pair_score", spy)
+        return run_eval(request), calls
+
+    @pytest.mark.parametrize("shift", [1.0, 0.5])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_scores_are_the_plain_pair_scores(self, monkeypatch, shift, threads):
+        plain = interpret.pair_score
+        dataset, table = saturated_word_fixture()
+        report, calls = self.scored(monkeypatch, EvalRequest(
+            dataset, table, methods=UNSUPERVISED, shift=shift, threads=threads))
+        assert sorted((interp.kind, op) for _, interp, op, *_ in calls) == sorted(
+            (interp.kind, op) for interp, op in OPERATOR_METHODS.values())
+        for words, interp, op, pairs, tables, scores in calls:
+            assert tables is not None, (interp, op)
+            assert interp.shift == shift
+            want = plain(words, words, interp, op, pairs=pairs)
+            np.testing.assert_array_equal(scores, want, err_msg=f"{interp} {op}")
+            assert np.all(np.isfinite(scores))
+        serial = run_eval(EvalRequest(dataset, table, methods=UNSUPERVISED, shift=shift))
+        assert report.to_csv() == serial.to_csv()
+
+    def test_tables_built_once_per_copy_base(self, monkeypatch):
+        calls = []
+        real = core._tables
+        monkeypatch.setattr(core, "_tables",
+                            lambda v, *names: calls.append(names) or real(v, *names))
+        dataset, table = shared_word_fixture()
+        run_eval(EvalRequest(dataset, table, methods=UNSUPERVISED))
+        # dup's copies serve logodds and dup; unkdup's copies serve its two operators
+        assert len(calls) == 2
+        assert sorted(calls) == [("log_sigmoid_neg", "sigmoid", "sigmoid_neg"),
+                                 ("log_sigmoid_neg", "sigmoid_neg")]
+        calls.clear()
+        run_eval(EvalRequest(dataset, table, methods=("logodds-fwd", "logodds-bwd",
+                                                      "logodds-fact", "dot")))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("methods, message", [
+        (("unkdup-fact", "dif", "logodds-bwd"), "raw vector contains non-finite values"),
+        (("dif", "unkdup-fact", "logodds-bwd"), "scores contain NaN"),
+    ], ids=["operator-first", "baseline-first"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_non_finite_word_fails_as_its_first_method(self, methods, message, threads):
+        dataset, table = shared_word_fixture()
+        matrix = np.array(table.matrix)
+        matrix[3, 1] = np.nan
+        table = EmbeddingTable(table.tokens, matrix)
+        with pytest.raises(ValueError) as exc_info:
+            run_eval(EvalRequest(dataset, table, methods=methods, threads=threads))
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == message
+
+    def test_pair_score_checks_its_words_before_reading_tables(self):
+        words = np.array([[1.0, -2.0], [0.5, 3.0]])
+        tables = interpret._reading_tables(words, [(interpret.DUP, "bwd")])[interpret.DUP]
+        words[1, 0] = np.inf
+        with pytest.raises(ValueError, match="raw vector contains non-finite values"):
+            interpret.pair_score(words, words, interpret.DUP, "bwd", pairs=([0], [1]),
+                                 tables=tables)
 
 
 class TestResolvePairs:

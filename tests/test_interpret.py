@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entvec import interpret
+from entvec import core, interpret
 from entvec.core import (
     entail_backward,
     entail_factorized,
@@ -192,6 +192,62 @@ class TestPairScorePairs:
         calls.clear()
         pair_score(words, words.copy(), DUP, "bwd", pairs=(self.I, self.J))
         assert calls == [(6, 4), (6, 4)]
+
+
+class TestReadingTables:
+    """``_reading_tables`` gives, bit for bit, the tables each operator builds of
+    its reading's copies, with one ``core._tables`` call per copy base."""
+
+    USES = [(interp, op) for interp in INTERPS.values() for op in ("fwd", "bwd", "fact")]
+
+    def test_each_table_is_that_of_the_copies(self):
+        words = TestPairScorePairs._words(5)
+        words[0] = [0.0, -0.0, 1e-300, -1e-300, 745.5]
+        got = interpret._reading_tables(words, self.USES)
+        assert set(got) == set(INTERPS.values())
+        for interp, tables in got.items():
+            copies = transform(words, interp)
+            assert set(tables) == set(core._NEGATED)
+            for name, table in tables.items():
+                want = core._tables(copies, name)[name]
+                assert table.tobytes() == want.tobytes(), (interp, name)
+
+    def test_one_tables_call_per_copy_base(self, monkeypatch):
+        calls = []
+        real = core._tables
+        monkeypatch.setattr(core, "_tables",
+                            lambda v, *names: calls.append((v.shape, names)) or real(v, *names))
+        words = TestPairScorePairs._words(4)
+        got = interpret._reading_tables(words, [(LOG_ODDS, "fwd"), (DUP, "bwd"),
+                                                (UNK_DUP, "bwd"), (UNK_DUP, "fact")])
+        # dup's copies [raw, -raw] serve logodds and dup with the sigma(-.) tables
+        assert sorted(calls) == [((6, 8), ("log_sigmoid_neg", "sigmoid", "sigmoid_neg")),
+                                 ((6, 8), ("log_sigmoid_neg", "sigmoid_neg"))]
+        # each reading holds the tables its operators read, and no other
+        assert {k.kind: sorted(v) for k, v in got.items()} == {
+            "logodds": ["log_sigmoid", "sigmoid"],
+            "dup": ["log_sigmoid_neg", "sigmoid_neg"],
+            "unkdup": ["log_sigmoid_neg", "sigmoid", "sigmoid_neg"]}
+        # logodds reads halves of dup's tables, which are not copied
+        assert np.shares_memory(got[LOG_ODDS]["sigmoid"], got[DUP]["sigmoid_neg"])
+        assert np.shares_memory(got[LOG_ODDS]["log_sigmoid"], got[DUP]["log_sigmoid_neg"])
+        calls.clear()
+        interpret._reading_tables(words, [(LOG_ODDS, "fwd"), (LOG_ODDS, "fact")])
+        assert calls == [((6, 4), ("log_sigmoid", "sigmoid", "sigmoid_neg"))]
+
+    def test_tables_are_read_only(self):
+        words = TestPairScorePairs._words(4)
+        for tables in interpret._reading_tables(words, self.USES).values():
+            assert not any(table.flags.writeable for table in tables.values())
+
+    @pytest.mark.parametrize("interp", sorted(INTERPS))
+    @pytest.mark.parametrize("op", ["fwd", "bwd", "fact"])
+    def test_pair_score_reads_them_bitwise(self, interp, op):
+        words, pairs = TestPairScorePairs._words(), (TestPairScorePairs.I, TestPairScorePairs.J)
+        tables = interpret._reading_tables(words, [(INTERPS[interp], op)])[INTERPS[interp]]
+        got = pair_score(words, words, INTERPS[interp], op, pairs=pairs, tables=tables)
+        want = pair_score(words, words, INTERPS[interp], op, pairs=pairs)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUnifyBackward:
