@@ -10,8 +10,8 @@ One executable with five subcommands:
 
 Machine-readable output (scores, CSV, TSV, model paths) goes to stdout;
 logs and the human-readable table go to stderr.  Exit codes: 0 success,
-1 usage error, 2 data/runtime error.  ``--embeddings`` falls back to the
-ENTVEC_EMBEDDINGS environment variable.
+1 usage error, 2 data/runtime error (running out of memory included).
+``--embeddings`` falls back to the ENTVEC_EMBEDDINGS environment variable.
 
 Loading order: a missing ``--embeddings`` is reported first.  Then, before
 any file is read, ``eval`` checks its methods and reading (``--methods``,
@@ -241,8 +241,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"entvec: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"entvec: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; name it rather than print nothing
+        print(f"entvec: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -32,16 +32,14 @@ Method tokens understood by ``run_eval``:
 Mapped methods train on each fold's filtered training pairs and pool the
 held-out test scores across folds before computing both metrics.
 
-The operator methods read sigma / log sigma tables of their words.
-``run_eval`` builds them once per copy base, before any method runs
-(``interpret._reading_tables``): one set of dup's copies [raw, -raw] for
-logodds and dup, since a table of -v is the table of v with v and -v
-swapped (exact: v and -v share exp(-|v|)), and one of unkdup's shifted
-copies.  Each method gets its reading's set as ``pair_score``'s
-``tables=``, still transforms and checks its words, and scores the bits it
-would score alone.  The tables are read-only and live for one ``run_eval``
-call.  A request with a non-finite word builds none: the methods' own
-checks report it, in method order.
+The operator methods read sigma / log sigma tables of their words.  Before
+any method runs, ``run_eval`` builds each reading's tables once from that
+reading's copies, except that logodds, when dup is scored too, reads halves
+of dup's (``interpret._reading_tables``).  Each method gets its reading's
+set as ``pair_score``'s ``tables=``, still transforms and checks its words,
+and scores the bits it would score alone, so a non-finite word is reported
+by the first method in method order.  The tables are read-only and live
+for one ``run_eval`` call.
 """
 
 from __future__ import annotations
@@ -441,11 +439,8 @@ def run_eval(request: EvalRequest) -> EvalReport:
     dataset = WordPairDataset(pairs=[pairs[n] for n in kept])
     if any(m in MAPPED_METHODS for m in methods):
         dataset = make_folds(dataset, request.k_folds, request.seed)
-    # a non-finite word builds no tables: each method's own check reports it
-    tables = {}
-    if readings and np.all(np.isfinite(words)):
-        tables = interpret._reading_tables(
-            words, {(readings[m], OPERATOR_METHODS[m][1]) for m in readings})
+    tables = interpret._reading_tables(
+        words, {(readings[m], OPERATOR_METHODS[m][1]) for m in readings})
 
     def one(method):
         if method in MAPPED_METHODS:
@@ -455,7 +450,7 @@ def run_eval(request: EvalRequest) -> EvalReport:
             reading = readings[method]
             scores, rev = np.split(interpret.pair_score(
                 words, words, reading, OPERATOR_METHODS[method][1], pairs=both,
-                tables=tables.get(reading)), [labels.size])
+                tables=tables[reading]), [labels.size])
         else:
             scores, rev = np.split(baseline_score(method, words, words, pairs=both),
                                    [labels.size])

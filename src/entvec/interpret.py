@@ -22,13 +22,12 @@ is what motivates the readings, and ``gradient_grid`` reproduces that
 comparison on 1-d instances.
 
 Scoring several operators on one matrix of words needs each sigma / log
-sigma table of a reading once.  ``_reading_tables`` builds them once per
-copy base, and ``pair_score`` reads a reading's set through ``tables=``.
-logodds and dup share one base, dup's copies [raw, -raw]: a table of -v
-is the table of v with the negated name (``core._NEGATED``, exact because
-v and -v share exp(-|v|)), so the sigma(-.) and log sigma(-.) tables of
-that base hold every table of both readings.  unkdup's shifted copies
-serve each of its operators.
+sigma table of a reading once, and ``pair_score`` reads a reading's set
+through ``tables=``.  ``_reading_tables`` builds each reading's set from its
+own copies in one call, except that logodds, when dup is read too, reads
+halves of the sigma(-.) and log sigma(-.) tables of dup's copies [raw, -raw]
+(a table of -v is the table of v with the negated name, ``core._NEGATED``,
+exact because v and -v share exp(-|v|)).
 """
 
 from __future__ import annotations
@@ -159,58 +158,30 @@ def _reading_tables(raw: np.ndarray, uses) -> dict:
 
     ``uses`` holds ``(interp, op)`` pairs; returns {interp: {table name:
     table of transform(raw, interp)}} with every table its operators read.
-    One ``core._tables`` call serves each copy base.  The readings without
-    a shift (logodds and dup) share one base: the finite float64 ``raw``,
-    or dup's copies [raw, -raw] when a reading has the copy -raw.  A table
-    of -v is the table of v with the negated name (``core._NEGATED``, exact),
-    so with both copies in the base only the tables of sigma(-.) and
-    log sigma(-.) are built, and logodds reads its tables as halves of
-    them.  Each shifted reading (unkdup) builds its tables from its own
-    copies, once for all of its operators.
+    Each reading builds its tables from its own copies in one
+    ``core._tables`` call, except that logodds, when dup is read too,
+    builds none: dup's call then also builds the sigma(-.) and
+    log sigma(-.) tables, and logodds reads views of them, a ``*_neg``
+    table as their raw half and any other as the -raw half of its negated
+    name (``core._NEGATED``, exact).
     """
     names = {}
     for interp, op in uses:
         names.setdefault(interp, set()).update(_OPERATOR_TABLES[op])
-    out = {}
-    unshifted = [interp for interp in names if not any(offset for _, offset in interp.copies)]
-    if unshifted:
-        signs = sorted({sign for interp in unshifted for sign, _ in interp.copies}, reverse=True)
-
-        def part(sign, name):
-            """(base table, block) that is table ``name`` of the copy sign * raw."""
-            if -sign in signs and not name.endswith("_neg"):
-                sign, name = -sign, _NEGATED[name]
-            return name, signs.index(sign)
-
-        parts = {interp: {name: [part(sign, name) for sign, _ in interp.copies]
-                          for name in names[interp]} for interp in unshifted}
-        base = core._tables(raw if signs == [1] else _copies(raw, DUP),
-                            *sorted({name for tables in parts.values()
-                                     for table in tables.values() for name, _ in table}))
-        for interp, tables in parts.items():
-            out[interp] = {name: _blocks(base, table, len(signs))
-                           for name, table in tables.items()}
-    for interp in names.keys() - out.keys():
-        out[interp] = core._tables(_copies(raw, interp), *sorted(names[interp]))
+    dup = next((interp for interp in names if interp.kind == "dup"), None)
+    shared = [interp for interp in names if interp.kind == "logodds"] if dup else []
+    if shared:
+        names[dup] |= {"sigmoid_neg", "log_sigmoid_neg"}
+    out = {interp: core._tables(_copies(raw, interp), *sorted(names[interp]))
+           for interp in names if interp not in shared}
+    d = raw.shape[-1]
+    for interp in shared:
+        out[interp] = {name: out[dup][name][..., :d] if name.endswith("_neg")
+                       else out[dup][_NEGATED[name]][..., d:] for name in names[interp]}
     for tables in out.values():  # methods on several threads share them
         for table in tables.values():
             table.setflags(write=False)
     return out
-
-
-def _blocks(base: dict, parts: list, n_blocks: int) -> np.ndarray:
-    """The ``(table name, block)`` ``parts`` of the ``base`` tables, side by side.
-
-    Each base table holds ``n_blocks`` equal blocks along its last axis.  A
-    whole table in block order is that table and one block is a view of it;
-    only another order is copied.
-    """
-    name = parts[0][0]
-    if parts == [(name, k) for k in range(n_blocks)]:
-        return base[name]
-    width = base[name].shape[-1] // n_blocks
-    views = [base[n][..., k * width:(k + 1) * width] for n, k in parts]
-    return views[0] if len(views) == 1 else np.concatenate(views, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from entvec import interpret, training
 from entvec.cli import EMBEDDINGS_ENV_VAR, build_parser, main
 from entvec.embeddings import (
     EmbeddingTable,
@@ -434,3 +435,36 @@ class TestGradGridCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"entvec: error: unkdup shift must be finite, got {float(shift)}\n"
+
+
+class TestOutOfMemory:
+    """A command that cannot allocate exits 2 with one error line, no traceback.
+    The MemoryError is raised by a stand-in: a real huge allocation could be
+    granted by an overcommitting host and then touched."""
+
+    NUMPY = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64"
+
+    @pytest.mark.parametrize("error, message", [(MemoryError(NUMPY), NUMPY),
+                                                (MemoryError(), "MemoryError")],
+                             ids=["numpy", "bare"])
+    def test_gradgrid(self, monkeypatch, capsys, error, message):
+        def grid(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(interpret, "gradient_grid", grid)
+        assert main(["gradgrid", "--model", "word2vec", "--range", "0", "1", "1e-12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"entvec: error: {message}\n"
+
+    def test_train_with_a_huge_d_out(self, monkeypatch, capsys, tmp_path):
+        def train(*args, **kwargs):
+            raise MemoryError(self.NUMPY)
+
+        monkeypatch.setattr(training, "train", train)
+        vecs, pairs = write_disjoint_fixture(tmp_path)
+        assert main(["train", "--embeddings", vecs, "--pairs", pairs, "--folds", "2",
+                     "--out-dir", str(tmp_path / "models"), "--d-out", str(10 ** 12)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"entvec: error: {self.NUMPY}\n"

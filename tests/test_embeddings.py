@@ -534,10 +534,10 @@ class TestKeep:
 
     def test_memory_follows_the_kept_rows(self, tmp_path):
         # 20 000 x 300 float32 is a 24 MB matrix; keeping 10 rows must peak
-        # far below it.  The peak (4.5 MB) is mostly the set of token bytes
+        # far below it.  The peak (5.0 MB) is mostly the set of token bytes
         # seen (2.9 MB at the end of the file), which grows with the file; the
-        # rest is read buffers: at a refill, the unread tail, one 1 MB chunk
-        # and their join.
+        # rest is read buffers: at a refill, the old buffer (dropped only
+        # after the read), its unread tail, one 1 MB chunk and their join.
         rng = np.random.default_rng(31)
         tokens = [f"w{k}" for k in range(20_000)]
         matrix = rng.standard_normal((len(tokens), 300), dtype=np.float32)

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import numpy as np
@@ -606,15 +607,46 @@ class TestSharedTables:
                                                       "logodds-fact", "dot")))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("methods, message", [
-        (("unkdup-fact", "dif", "logodds-bwd"), "raw vector contains non-finite values"),
-        (("dif", "unkdup-fact", "logodds-bwd"), "scores contain NaN"),
-    ], ids=["operator-first", "baseline-first"])
+    @pytest.mark.parametrize("shift", [0.7, 1.0])
+    def test_every_subset_of_operator_methods(self, monkeypatch, shift):
+        plain = interpret.pair_score
+        calls = []
+        real = core._tables
+        monkeypatch.setattr(core, "_tables",
+                            lambda v, *names: calls.append(names) or real(v, *names))
+        dataset, table = saturated_word_fixture()
+        for size in range(1, len(OPERATOR_METHODS) + 1):
+            for methods in itertools.combinations(OPERATOR_METHODS, size):
+                calls.clear()
+                report, scored = self.scored(monkeypatch, EvalRequest(
+                    dataset, table, methods=methods, shift=shift))
+                # one call per reading; logodds reads dup's when both are scored
+                kinds = {OPERATOR_METHODS[m][0].kind for m in methods}
+                assert len(calls) == len(kinds) - ({"logodds", "dup"} <= kinds), methods
+                assert len(scored) == len(methods) == len(report.rows)
+                for words, interp, op, pairs, _, scores in scored:
+                    want = plain(words, words, interp, op, pairs=pairs)
+                    assert scores.tobytes() == want.tobytes(), (methods, interp, op)
+                # scored() wraps whatever pair_score is: unwrap it for the next subset
+                monkeypatch.setattr(interpret, "pair_score", plain)
+
+    @pytest.mark.parametrize("methods, value, message", [
+        (("unkdup-fact", "dif", "logodds-bwd"), np.nan, "raw vector contains non-finite values"),
+        (("dif", "unkdup-fact", "logodds-bwd"), np.nan, "scores contain NaN"),
+        (("unkdup-fact", "dif", "logodds-bwd"), np.inf, "raw vector contains non-finite values"),
+        (("dif", "unkdup-fact", "logodds-bwd"), np.inf, "raw vector contains non-finite values"),
+        (("dup-bwd", "dot", "logodds-fwd"), -np.inf, "raw vector contains non-finite values"),
+        (("dot", "dup-bwd", "logodds-fwd"), -np.inf, "raw vector contains non-finite values"),
+    ], ids=["operator-first", "baseline-first", "operator-first-inf", "baseline-first-inf",
+            "operator-first-neg-inf", "baseline-first-neg-inf"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_a_non_finite_word_fails_as_its_first_method(self, methods, message, threads):
+    def test_a_non_finite_word_fails_as_its_first_method(self, methods, value, message,
+                                                         threads):
+        # tables are built from the non-finite word without a warning (pyproject
+        # turns warnings into errors); each method's own check reports it
         dataset, table = shared_word_fixture()
         matrix = np.array(table.matrix)
-        matrix[3, 1] = np.nan
+        matrix[3, 1] = value
         table = EmbeddingTable(table.tokens, matrix)
         with pytest.raises(ValueError) as exc_info:
             run_eval(EvalRequest(dataset, table, methods=methods, threads=threads))
