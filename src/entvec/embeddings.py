@@ -56,16 +56,19 @@ float32's range loads as +-inf, as the literal ``inf`` does, without a
 warning.  A block's kept rows go into the matrix in one copy.
 
 ``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
-and copies each kept row straight into the matrix, which it asks for room
-once a refill, for every entry the buffer can still give; what it returns
-or raises, byte offsets included, does not depend on where the chunk
-boundaries fall.  One loop takes every entry: it checks duplicates
-on the token bytes, decodes only the tokens it keeps and steps over the
-optional newline.  An entry that is not wholly in the buffer with a byte
-after its row (so its newline is known) first goes through one branch,
-the only code that refills the buffer or raises a format error other
-than a duplicate; a row cut short by the file's end is reported as a
-duplicate when its token is one.  An entry takes at least a space and
+and copies the kept rows into the matrix, which it asks for room once a
+refill, for every entry the buffer can still give; what it returns or
+raises, byte offsets included, does not depend on where the chunk
+boundaries fall.  Its loop only refills or raises: an entry that is not
+wholly in the buffer with a byte after its row (so its newline is known)
+goes through it, the only code that refills the buffer or raises a format
+error; a row cut short by the file's end is reported as a duplicate when
+its token is one.  Then one take step (``_take``) takes all of the
+buffer's whole entries at once: one regular-expression split finds them,
+and its last branch takes the rest of the buffer at the first place that
+is not an entry, so the split never searches on from there; one set call
+checks their token bytes for repeats, one gather copies the kept rows and
+one decode reads the kept tokens.  An entry takes at least a space and
 ``4 * dim`` bytes, so a header promising more than the file can hold
 raises CountMismatchError or TruncatedFileError where the data runs out;
 past the entries the reported size can hold, one read takes the rest of
@@ -97,7 +100,9 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import stat
+from itertools import compress
 
 import numpy as np
 
@@ -288,6 +293,61 @@ class _Rows:
         return EmbeddingTable(tokens, self.matrix.reshape(len(tokens), self.dim))
 
 
+def _take(data: bytes, eof: bool, row_bytes: int, most: int, seen: set, keep, offset: int,
+          out: np.ndarray):
+    """Take the whole entries at the start of ``data``, at most ``most``, in one pass.
+
+    ``data`` must begin with a whole entry.  An entry is whole when its token,
+    space and row are in ``data`` and so is the byte after its row, which says
+    whether the optional newline follows, or the file ends there (``eof``).
+    One split of ``data`` finds them all; its last branch takes the rest of
+    ``data`` at the first place that is not an entry, so the split never
+    searches on from there (searching would try each later byte as a token's
+    start, up to 65536 bytes each).  Every token goes into ``seen``; a repeat
+    raises DuplicateTokenError at ``offset`` plus its place in ``data``, the
+    first in file order.  The kept entries (those in ``keep``, every one when
+    it is None) have their rows copied into ``out``, a uint8 array of
+    ``row_bytes`` a row with room for them.  Returns the bytes and the entries
+    taken, and the kept tokens, in file order.
+    """
+    # compiled only here, once an entry is whole: a row longer than the file may
+    # be past the longest repeat the pattern can hold
+    entry = re.compile(rb"([^ ]{0,%d}) (?s:.{%d})(\n?)|((?s:.+))" % (_MAX_TOKEN_BYTES, row_bytes))
+    parts = entry.split(data, most)  # per match: token, newline, rest, then the text after
+    toks, nls = parts[1::4], parts[2::4]
+    # the last match is the rest, or a row that ends at data's end before the
+    # file does: its newline is not known yet, so the refill takes it
+    if parts[-2] is not None or not (parts[-1] or eof or nls[-1]):
+        del toks[-1], nls[-1]
+    newlines = np.fromiter(map(len, nls), np.intp, len(nls))
+    ends = np.cumsum(np.fromiter(map(len, toks), np.intp, len(toks)) + newlines + (row_bytes + 1))
+    rows = ends - newlines - row_bytes  # where each row starts in data
+    before = len(seen)
+    fresh = seen.isdisjoint(toks)  # of the tokens of earlier buffers
+    if fresh:
+        seen.update(toks)
+    if not fresh or len(seen) != before + len(toks):  # a repeat: name the first
+        earlier, old = set(), () if fresh else seen
+        for k, token in enumerate(toks):
+            if token in earlier or token in old:
+                break
+            earlier.add(token)
+        token = token.decode("utf-8", errors="surrogateescape")
+        raise DuplicateTokenError(f"duplicate token {token!r}",
+                                  offset=offset + int(rows[k]) - len(toks[k]) - 1)
+    if keep is not None:
+        hits = keep.intersection(toks)
+        kept = list(compress(range(len(toks)), map(hits.__contains__, toks))) if hits else []
+        toks, rows = [toks[k] for k in kept], rows[kept]
+    # no byte of a token is a space, and no byte sequence decodes across one
+    words = b" ".join(toks).decode("utf-8", errors="surrogateescape").split(" ") if toks else []
+    window = np.lib.stride_tricks.as_strided(  # row r of it is row_bytes bytes from byte r
+        np.frombuffer(data, np.uint8), (len(data) - row_bytes + 1, row_bytes), (1, 1),
+        writeable=False)
+    out[:len(rows)] = window[rows]  # np.take would copy all of window first
+    return int(ends[-1]), len(ends), words
+
+
 def load_binary(path, keep=None) -> EmbeddingTable:
     """Read a word2vec-format binary embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else _keep_bytes(keep)
@@ -313,67 +373,61 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         # entries from `rows` on lie past the reported size, which holds less
         # than a row after them, unless the file is longer than it reports
         rows = count if size is None else size // (row_bytes + 1)
-        out = memoryview(sink.matrix).cast("B")
-        tokens = []
-        n = 0  # rows copied
+        tokens = []  # kept, in file order
         seen = set()  # every token's bytes, kept or not
         buf = b""
         pos = end = 0  # start of the current entry in buf, and len(buf)
         eof = False
         limit = _MAX_TOKEN_BYTES
-        for i in range(count):
+        i = 0  # entries taken
+        while i < count:
+            # the entry at pos is not wholly in buf with a byte after its row (its
+            # optional newline): read until it is, or until the file ends; a
+            # refill keeps the entry's unread bytes, so every offset is base +
+            # index into buf.  From entry `rows` on, one read takes the rest of
+            # the file, so a row longer than the file is not buffered a chunk at
+            # a time
             sp = buf.find(b" ", pos, pos + limit + 1)
             stop = sp + 1 + row_bytes
-            if sp < 0 or stop >= end:
-                # the entry is not wholly in buf with a byte after its row (its
-                # optional newline): read until it is, or until the file ends;
-                # a refill keeps the entry's unread bytes, so every offset is
-                # base + index into buf.  From entry `rows` on, one read takes
-                # the rest of the file, so a row longer than the file is not
-                # buffered a chunk at a time
-                while not eof and (end - pos <= limit if sp < 0 else stop >= end):
-                    # read before the old buffer is dropped: freed first, its
-                    # memory can go back to the OS and fault in again for the read
-                    tail, base = buf[pos:], base + pos
-                    buf = tail + fh.read(_CHUNK if i < rows else -1)
-                    pos, end, eof = 0, len(buf), len(buf) == len(tail)
-                    sp = buf.find(b" ", pos, pos + limit + 1)
-                    stop = sp + 1 + row_bytes
-                if sp < 0:
-                    if end - pos > limit:
-                        raise MalformedHeaderError(
-                            f"no delimiter within {limit} bytes", offset=base + pos
-                        )
-                    if pos == end:
-                        raise CountMismatchError(
-                            f"header promises {count} entries but the file has {i}",
-                            offset=base + pos,
-                        )
-                    raise TruncatedFileError("file ends mid-token", offset=base + pos)
-                if stop > end and buf[pos:sp] not in seen:  # a repeat is reported as one
-                    raise TruncatedFileError(
-                        f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
+            while not eof and (end - pos <= limit if sp < 0 else stop >= end):
+                # read before the old buffer is dropped: freed first, its
+                # memory can go back to the OS and fault in again for the read
+                tail, base = buf[pos:], base + pos
+                buf = tail + fh.read(_CHUNK if i < rows else -1)
+                pos, end, eof = 0, len(buf), len(buf) == len(tail)
+                sp = buf.find(b" ", pos, pos + limit + 1)
+                stop = sp + 1 + row_bytes
+            if sp < 0:
+                if end - pos > limit:
+                    raise MalformedHeaderError(
+                        f"no delimiter within {limit} bytes", offset=base + pos
                     )
-                # room for every entry buf can still give
-                out.release()
-                sink.room(n + min(count - i, (end - pos) // (row_bytes + 1)))
-                out = memoryview(sink.matrix).cast("B")
-            raw = buf[pos:sp]
-            if raw in seen:
-                token = raw.decode("utf-8", errors="surrogateescape")
-                raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
-            seen.add(raw)
-            if keep is None or raw in keep:
-                tokens.append(raw.decode("utf-8", errors="surrogateescape"))
-                out[n * row_bytes:(n + 1) * row_bytes] = buf[sp + 1:stop]
-                n += 1
-            pos = stop + (buf[stop] == 10) if stop < end else stop
+                if pos == end:
+                    raise CountMismatchError(
+                        f"header promises {count} entries but the file has {i}",
+                        offset=base + pos,
+                    )
+                raise TruncatedFileError("file ends mid-token", offset=base + pos)
+            if stop > end:
+                raw = buf[pos:sp]
+                if raw in seen:  # a repeat cut short is reported as a repeat
+                    token = raw.decode("utf-8", errors="surrogateescape")
+                    raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
+                raise TruncatedFileError(
+                    f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
+                )
+            # room for every entry buf can still give
+            sink.room(len(tokens) + min(count - i, (end - pos) // (row_bytes + 1)))
+            taken, entries, words = _take(
+                buf[pos:], eof, row_bytes, count - i, seen, keep, base + pos,
+                sink.matrix.view(np.uint8).reshape(-1, row_bytes)[len(tokens):])
+            tokens += words
+            pos, i = pos + taken, i + entries
         if pos < end or fh.read(1):
             raise CountMismatchError(
                 f"file continues past the {count} promised entries", offset=base + pos
             )
     del seen  # the table's vocabulary replaces it; do not hold both
-    out.release()
     return sink.table(tokens)
 
 

@@ -279,12 +279,16 @@ class GradientGrid:
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points lo, lo + step, ... that do not pass hi, up to rounding."""
     if not (np.isfinite(lo) and np.isfinite(hi) and step > 0):
         raise ValueError(f"bad grid range ({lo}, {hi}, {step})")
-    n = int(round((hi - lo) / step)) + 1
-    if n < 1:
+    if hi < lo:
         raise ValueError(f"grid range ({lo}, {hi}, {step}) contains no points")
-    return lo + step * np.arange(n)
+    steps = (hi - lo) / step
+    # the tolerance keeps an hi that rounding leaves just short of a point:
+    # 0.3 / 0.1 is 2.9999999999999996.  np.floor, as a float, lets np.arange
+    # refuse a count too large to hold, an infinite one included
+    return lo + step * np.arange(np.floor(steps + 1e-9 * (1 + steps)) + 1)
 
 
 def gradient_grid(model: str, m_range, c_range, shift: float = 1.0) -> GradientGrid:

@@ -428,6 +428,27 @@ class TestGradGridCommand:
     def test_bad_step_is_data_error(self, capsys):
         assert main(["gradgrid", "--model", "word2vec", "--range", "1", "0", "1"]) == 2
 
+    def test_axis_stops_at_hi(self, capsys):
+        assert main(["gradgrid", "--model", "word2vec", "--range", "0", "1", "0.6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted({float(line.split(",")[0]) for line in lines[1:]}) == [0.0, 0.6]
+
+    @pytest.mark.parametrize("hi", ["0.8", "0.2"])
+    def test_reversed_range_is_data_error(self, capsys, hi):
+        assert main(["gradgrid", "--model", "word2vec", "--range", "1", hi, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"entvec: error: grid range (1.0, {hi}, 1.0) contains no points\n"
+
+    @pytest.mark.parametrize("step", ["1e-308", "1"], ids=["infinite", "finite"])
+    def test_too_many_points_is_data_error(self, capsys, step):
+        # (hi - lo) / step overflows to inf, or is a count no array can hold
+        assert main(["gradgrid", "--model", "word2vec", "--range", "0", "1e308", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the message is numpy's
+        assert captured.err.startswith("entvec: error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("shift", ["inf", "-inf", "nan"])
     def test_non_finite_unkdup_shift_is_data_error(self, capsys, shift):
         assert main(["gradgrid", "--model", "unkdup-bwd", "--range", "-1", "1", "1",

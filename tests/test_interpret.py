@@ -345,6 +345,23 @@ class TestGradientGrid:
         assert grid.m.shape == (81,)
         assert grid.m[0] == pytest.approx(-4.0) and grid.m[-1] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("axis, points", [
+        ((0.0, 1.0, 0.6), [0.0, 0.6]),  # hi is not a point: the axis stops short of it
+        ((0.0, 0.3, 0.1), [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 rounds just below 3
+        ((1.0, 1.0, 1.0), [1.0]),
+        ((1.0, 1.0, 0.5), [1.0]),
+        ((-1.0, 0.5, 1.0), [-1.0, 0.0]),
+    ])
+    def test_axis_never_passes_hi(self, axis, points):
+        grid = gradient_grid("word2vec", axis, (0.0, 1.0, 1.0))
+        assert grid.m == pytest.approx(points)
+        assert grid.grad.shape == (len(points), 2)
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.8, 1.0), (1.0, 0.2, 1.0), (0.0, -1e-6, 0.1)])
+    def test_reversed_range_has_no_points(self, axis):
+        with pytest.raises(ValueError, match="contains no points"):
+            gradient_grid("word2vec", axis, (0.0, 1.0, 1.0))
+
     def test_csv_layout(self):
         grid = gradient_grid("word2vec", (0.0, 1.0, 1.0), (0.0, 1.0, 1.0))
         lines = grid.to_csv().splitlines()
