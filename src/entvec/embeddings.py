@@ -20,7 +20,8 @@ Binary tokens round-trip byte for byte, invalid UTF-8 included
 UnicodeEncodeError on such a token.  Reading a text file that is not
 valid UTF-8 raises TextFormatError at its first line that is not, unless
 an earlier line holds another error: a text file's errors come in line
-order, and it is read once, so a stream reads as a file does.  A writer
+order, and it is read once, so a stream reads as a file does: the rule of
+``_text_lines``, which reads every text format of the package.  A writer
 refuses a token its loader would misread, and a table with no rows (its
 header count would be 0, which both loaders reject), with ValueError,
 before it opens the file.
@@ -98,6 +99,7 @@ Such a table cannot be written.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -468,17 +470,28 @@ def _looks_like_header(fields) -> bool:
 def _not_utf8(raw: str):
     """Why the bytes of ``raw``, a line read with ``surrogateescape``, are not UTF-8;
     None when they are.  Each byte that is not UTF-8 reads as a lone surrogate,
-    which strict encoding rejects."""
+    which encodes back to that byte, which strict decoding rejects."""
     if raw.isascii():
         return None
     try:
-        raw.encode("utf-8")
-    except UnicodeEncodeError:
-        try:
-            raw.encode("utf-8", errors="surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return exc.reason
+        raw.encode("utf-8", errors="surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.reason
     return None
+
+
+def _text_lines(fh):
+    """Yield each line of ``fh``, a binary stream, with its number from 1: the one
+    way every text format is read.  Closes ``fh`` when the lines run out or the
+    generator is closed.
+
+    The bytes are read once, as UTF-8 with ``surrogateescape``, so a stream
+    reads as a file does and a line that is not UTF-8 still reads; test each
+    line with ``_not_utf8`` to raise at it, in line order.  A line ends at
+    ``\\n``, ``\\r\\n`` or ``\\r``, which it keeps as ``\\n``, and nowhere else.
+    """
+    with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
+        yield from enumerate(text, start=1)
 
 
 class _TextRows:
@@ -592,13 +605,10 @@ class _TextRows:
 def load_text(path, keep=None) -> EmbeddingTable:
     """Read a whitespace-separated text embedding file, or only the rows of ``keep``."""
     keep = None if keep is None else set(keep)
-    # surrogateescape: a line that is not UTF-8 is reported at its line, in line
-    # order, by _TextRows.line.  over="ignore": a value beyond float32's range
-    # stores as +-inf, silently
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh, \
-            np.errstate(over="ignore"):
+    # over="ignore": a value beyond float32's range stores as +-inf, silently
+    with open(path, "rb") as fh, np.errstate(over="ignore"):
         rows = _TextRows(keep, _file_size(fh))
-        lines = enumerate(fh, start=1)
+        lines = _text_lines(fh)
         for lineno, raw in lines:  # line by line until the header or first row fixes dim
             rows.line(lineno, raw)
             if rows.sink is not None:

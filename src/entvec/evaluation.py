@@ -51,7 +51,7 @@ import numpy as np
 
 from . import interpret, training
 from .core import _pair_rows
-from .embeddings import EmbeddingTable, _not_utf8
+from .embeddings import EmbeddingTable, _not_utf8, _text_lines
 
 __all__ = [
     "WordPair",
@@ -124,13 +124,12 @@ class WordPairDataset:
 def load_pairs(path) -> WordPairDataset:
     """Read a ``hypo<TAB>hyper<TAB>label`` file, preserving order."""
     pairs = []
-    # surrogateescape: a line that is not UTF-8 is reported at its line, in line order
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in _text_lines(fh):
             reason = _not_utf8(raw)
             if reason:
                 raise DatasetFormatError(f"not valid UTF-8 ({reason})", lineno)
-            line = raw.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n")
             if not line.strip():
                 continue
             fields = line.split("\t")

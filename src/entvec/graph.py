@@ -39,12 +39,14 @@ reported at the first node in declaration order that produced it.  Undamped swee
 instead of converging on graphs with many sibling negative edges;
 ``damping`` (e.g. 0.3) restores convergence there.
 
-A graph is stored as arrays: one float64 (nodes, dim) prior matrix with
-a name -> row dict, edges as ordered, de-duplicated (row, row) pairs, and
-the row of pinned values of each observed node.  ``graph_infer`` reads
-them as they are.  Graphs can be built programmatically or parsed from a
-line-oriented text format, in one pass that allocates the prior matrix
-once, at the first node, with a row for each ``node`` line:
+A graph is stored as arrays: one float64 prior matrix with a name -> row
+dict, edges as ordered, de-duplicated (row, row) pairs, and the row of
+pinned values of each observed node.  The prior matrix doubles its rows
+when full, so it may hold more rows than nodes; ``graph_infer`` reads the
+first ones.  Graphs can be built programmatically or parsed, one line at a
+time, from a line-oriented text format, read as every text format is
+(lines end at \\n, \\r\\n or \\r; a line that is not UTF-8 is an error at
+that line):
 
     # comment
     node <name> <dim> [theta_1 ... theta_dim]   (theta defaults to zeros)
@@ -58,6 +60,7 @@ keep their prior value and the node is never updated, only read.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -65,6 +68,7 @@ from itertools import chain
 import numpy as np
 
 from .core import DimensionMismatchError, log_sigmoid, sigmoid
+from .embeddings import _not_utf8, _text_lines
 
 __all__ = [
     "GraphStructureError",
@@ -219,7 +223,6 @@ class EntailmentGraph:
     def __init__(self):
         self._row: dict[str, int] = {}
         self._prior = np.zeros((0, 0))
-        self._reserve = 0  # rows to allocate at the first node; the parser sets it
         self._dim: int | None = None
         # dicts used as insertion-ordered sets so sweeps are deterministic
         self._pos: dict[tuple[int, int], None] = {}
@@ -286,7 +289,7 @@ class EntailmentGraph:
         row = len(self._row)
         if row == self._prior.shape[0]:
             try:
-                grown = np.zeros((max(self._reserve, 2 * row, 1), dim))
+                grown = np.zeros((max(2 * row, 1), dim))
             except (MemoryError, ValueError):
                 raise GraphStructureError(
                     f"node {name!r} dim {dim} cannot be allocated"
@@ -473,21 +476,20 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
     )
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
+def _number(text: str, what: str, line: int, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         raise GraphFormatError(f"bad {what} {text!r}", line) from None
 
 
-def parse_graph(text: str) -> EntailmentGraph:
-    """Build a graph from the line-oriented text format (see module docstring)."""
+def _parse(lines) -> EntailmentGraph:
+    """Build a graph from numbered lines of the text format, one at a time."""
     graph = EntailmentGraph()
-    # the prior matrix is allocated once, at the first node, with a row for
-    # each line that starts with "node"; only indented node lines, or lines
-    # split by another line break than "\n", make it grow
-    graph._reserve = text.startswith("node") + text.count("\nnode")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
+        reason = _not_utf8(raw)
+        if reason:
+            raise GraphFormatError(f"not valid UTF-8 ({reason})", lineno)
         fields = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not fields:
             continue
@@ -497,10 +499,7 @@ def parse_graph(text: str) -> EntailmentGraph:
                 if len(fields) < 3:
                     raise GraphFormatError("node needs a name and a dim", lineno)
                 name = fields[1]
-                try:
-                    dim = int(fields[2])
-                except ValueError:
-                    raise GraphFormatError(f"bad dim {fields[2]!r}", lineno) from None
+                dim = _number(fields[2], "dim", lineno, int)
                 theta = None
                 if len(fields) > 3:
                     if len(fields) - 3 != dim:
@@ -512,7 +511,7 @@ def parse_graph(text: str) -> EntailmentGraph:
                         theta = list(map(float, fields[3:]))
                     except ValueError:
                         # parse field by field only to name the bad one
-                        theta = [_parse_float(t, "prior", lineno) for t in fields[3:]]
+                        theta = [_number(t, "prior", lineno) for t in fields[3:]]
                 graph.add_node(name, dim, theta)
             elif kind == "entail" or kind == "notentail":
                 if len(fields) != 3:
@@ -524,11 +523,8 @@ def parse_graph(text: str) -> EntailmentGraph:
             elif kind == "observe":
                 if len(fields) != 4:
                     raise GraphFormatError("observe needs a name, an index and a value", lineno)
-                try:
-                    k = int(fields[2])
-                except ValueError:
-                    raise GraphFormatError(f"bad dimension index {fields[2]!r}", lineno) from None
-                graph.observe(fields[1], k, _parse_float(fields[3], "log-odds value", lineno))
+                graph.observe(fields[1], _number(fields[2], "dimension index", lineno, int),
+                              _number(fields[3], "log-odds value", lineno))
             else:
                 raise GraphFormatError(f"unknown directive {kind!r}", lineno)
         except GraphStructureError as exc:
@@ -536,14 +532,14 @@ def parse_graph(text: str) -> EntailmentGraph:
     return graph
 
 
+def parse_graph(text: str) -> EntailmentGraph:
+    """Build a graph from the line-oriented text format (see module docstring).
+
+    Lines break as in a file; a lone surrogate reads as a line that is not UTF-8.
+    """
+    return _parse(_text_lines(io.BytesIO(text.encode("utf-8", "surrogatepass"))))
+
+
 def parse_graph_file(path) -> EntailmentGraph:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bad byte is on the last line of the text up to and including it
-        line = len((data[:exc.start] + b"?").decode("utf-8").splitlines())
-        raise GraphFormatError(f"not valid UTF-8 ({exc.reason})", line) from None
-    del data  # the parse holds the text; the bytes would double the file
-    return parse_graph(text)
+        return _parse(_text_lines(fh))

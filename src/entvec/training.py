@@ -23,18 +23,21 @@ finite-difference agreement test is the contract here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
 from .core import sigmoid
+from .embeddings import _not_utf8, _text_lines
 from .interpret import transform  # unused; perfbench/spans.py rebinds training.transform
 
 __all__ = [
     "TrainConfig",
     "MappingModel",
     "TrainedFold",
+    "TrainingDivergedError",
     "init_mapping",
     "raw_scores",
     "predict",
@@ -105,6 +108,21 @@ class TrainedFold:
     model: MappingModel
     history: tuple  # mean loss per epoch
     n_train: int
+
+
+class TrainingDivergedError(ValueError):
+    """Training left the finite numbers: a step size too large for the data.
+
+    Names, 0-based, the fold, epoch and batch at which the loss, the mapping
+    or the vectors it maps were first seen non-finite, and the step size.
+    """
+
+    def __init__(self, fold: int, epoch: int, batch: int, step_size: float):
+        super().__init__(
+            f"training diverged at fold {fold}, epoch {epoch}, batch {batch}: the loss or "
+            f"the mapping is no longer finite at step size {step_size:g}"
+        )
+        self.fold, self.epoch, self.batch, self.step_size = fold, epoch, batch, step_size
 
 
 def init_mapping(d_in: int, d_out: int, seed: int, op: str = "bwd") -> MappingModel:
@@ -183,39 +201,54 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
     Each Fold of ``folds`` trains on the pairs its ``train`` indexes, with
     its own deterministic substream of ``cfg.seed`` for initialization and
     epoch shuffling.  tau starts at the mean raw score of the first batch,
-    centering initial predictions near 0.5.
+    centering initial predictions near 0.5.  A run whose loss, mapping or
+    mapped vectors (of finite inputs) stop being finite raises
+    TrainingDivergedError, without a numpy warning.
     """
     _check_op(op)
     words, hi, gi, labels = rows
     d_in = words.shape[1]
     d_out = cfg.d_out if cfg.d_out is not None else d_in
     results = []
-    for fold_idx, fold in enumerate(folds):
-        sel = np.asarray(fold.train, dtype=np.intp)
-        if not sel.size:
-            raise ValueError(f"fold {fold_idx} has no training pairs")
-        h_all, g_all = words[hi[sel]], words[gi[sel]]
-        t_all = labels[sel].astype(np.float64)
-        n = sel.size
-        rng = np.random.default_rng([cfg.seed, fold_idx])
-        model = init_mapping(d_in, d_out, seed=int(rng.integers(2**31 - 1)), op=op)
-        history = []
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
-            if epoch == 0:
-                first = perm[:cfg.batch_size]
-                model.tau = float(np.mean(raw_scores(model, h_all[first], g_all[first])))
-            total = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                loss, grad_w, grad_tau = _loss_and_grad_mats(
-                    model, h_all[idx], g_all[idx], t_all[idx], cfg.l2
-                )
-                model.W = model.W - cfg.step_size * grad_w
-                model.tau = model.tau - cfg.step_size * grad_tau
-                total += loss * idx.size
-            history.append(total / n)
-        results.append(TrainedFold(model=model, history=tuple(history), n_train=n))
+    # a diverging run overflows: it is named where a value goes non-finite,
+    # not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fold_idx, fold in enumerate(folds):
+            sel = np.asarray(fold.train, dtype=np.intp)
+            if not sel.size:
+                raise ValueError(f"fold {fold_idx} has no training pairs")
+            h_all, g_all = words[hi[sel]], words[gi[sel]]
+            t_all = labels[sel].astype(np.float64)
+            n = sel.size
+            rng = np.random.default_rng([cfg.seed, fold_idx])
+            model = init_mapping(d_in, d_out, seed=int(rng.integers(2**31 - 1)), op=op)
+            history = []
+            for epoch in range(cfg.epochs):
+                perm = rng.permutation(n)
+                if epoch == 0:
+                    first = perm[:cfg.batch_size]
+                    model.tau = float(np.mean(raw_scores(model, h_all[first], g_all[first])))
+                total = 0.0
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    idx = perm[start:start + cfg.batch_size]
+                    try:
+                        loss, grad_w, grad_tau = _loss_and_grad_mats(
+                            model, h_all[idx], g_all[idx], t_all[idx], cfg.l2
+                        )
+                    except ValueError:  # core rejects non-finite mapped vectors
+                        if not (np.isfinite(h_all[idx]).all() and np.isfinite(g_all[idx]).all()):
+                            raise  # the input's fault
+                        loss = math.inf  # the mapping's, named just below
+                    total += loss * idx.size
+                    if not math.isfinite(total):
+                        raise TrainingDivergedError(fold_idx, epoch, batch, cfg.step_size)
+                    model.W = model.W - cfg.step_size * grad_w
+                    model.tau = model.tau - cfg.step_size * grad_tau
+                history.append(total / n)
+            # the last step's values are read by nothing else
+            if not (np.isfinite(model.W).all() and math.isfinite(model.tau)):
+                raise TrainingDivergedError(fold_idx, epoch, batch, cfg.step_size)
+            results.append(TrainedFold(model=model, history=tuple(history), n_train=n))
     return results
 
 
@@ -227,27 +260,34 @@ def save_model(model: MappingModel, path) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _model_header(fields: list) -> tuple:
+    if len(fields) != 4:
+        raise ValueError(f"model header must be 'd_out d_in tau op', got {fields}")
+    try:
+        return int(fields[0]), int(fields[1]), float(fields[2]), fields[3]
+    except ValueError:
+        raise ValueError(f"unparsable model header {fields}") from None
+
+
 def load_model(path) -> MappingModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"model header must be 'd_out d_in tau op', got {header}")
-        try:
-            d_out, d_in, tau = int(header[0]), int(header[1]), float(header[2])
-        except ValueError:
-            raise ValueError(f"unparsable model header {header}") from None
-        op = header[3]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                values = [float(v) for v in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if len(values) != d_in:
-                raise ValueError(f"line {lineno}: expected {d_in} values, got {len(values)}")
-            rows.append(values)
+    header, rows = None, []
+    with open(path, "rb") as fh:
+        for lineno, line in _text_lines(fh):
+            reason = _not_utf8(line)
+            if reason:
+                raise ValueError(f"line {lineno}: not valid UTF-8 ({reason})")
+            if header is None:
+                header = d_out, d_in, tau, op = _model_header(line.split())
+            elif line.strip():
+                try:
+                    values = [float(v) for v in line.split()]
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if len(values) != d_in:
+                    raise ValueError(f"line {lineno}: expected {d_in} values, got {len(values)}")
+                rows.append(values)
+    if header is None:
+        _model_header([])  # an empty file: raises
     if len(rows) != d_out:
         raise ValueError(f"header promises {d_out} rows but the file has {len(rows)}")
     return MappingModel(W=np.array(rows, dtype=np.float64), tau=tau, op=op)

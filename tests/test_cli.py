@@ -160,6 +160,16 @@ class TestEvalCommand:
         assert out.splitlines()[0] == "method,acc50,dir_acc,threshold,n,oov_dropped"
         assert out.splitlines()[1].startswith("mapped-dif,")
 
+    def test_diverged_training_is_one_error_line(self, capsys, tmp_path):
+        vec_path, pair_path = write_disjoint_fixture(tmp_path)
+        assert main([
+            "eval", "--embeddings", vec_path, "--pairs", pair_path, "--methods", "mapped-dif",
+            "--train", "--folds", "2", "--epochs", "3", "--step-size", "1e308",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("entvec: error: training diverged at fold 0, ")
+        assert err.count("\n") == 1
+
     def test_saturated_pair_does_not_fail_the_eval(self, capsys, tmp_path):
         vec_path = tmp_path / "sat.txt"
         vec_path.write_text("up -40 0\ndown 40 0\n")

@@ -634,8 +634,8 @@ class TestParseGraph:
             assert solved.assignments[name].tobytes() == reference.assignments[name].tobytes()
 
     def test_parser_memory(self):
-        # 20 000 nodes at dim 30 (a 4.8 MB prior matrix) from 6.4 MB of
-        # text; the array store holds one matrix, allocated once
+        # 20 000 nodes at dim 30 (4.8 MB of priors) from 6.4 MB of text; the
+        # array store holds one matrix, which doubles to 32 768 rows (7.9 MB)
         text = tree_text(20_000, 30, seed=0)
         gc.collect()
         tracemalloc.start()
@@ -649,8 +649,8 @@ class TestParseGraph:
         assert retained <= 12.4e6
 
     def test_parse_graph_file_memory(self, tmp_path):
-        # the same 6.4 MB text read from a file: the file's bytes are
-        # dropped once decoded, so they do not add to the parse's peak
+        # the same 6.4 MB text read from a file, one line at a time: the
+        # peak is the prior matrix's last doubling, not the text (13.6 MB)
         path = tmp_path / "tree.graph"
         path.write_text(tree_text(20_000, 30, seed=0))
         gc.collect()
@@ -661,7 +661,7 @@ class TestParseGraph:
         finally:
             tracemalloc.stop()
         assert len(g.node_names) == 20_000
-        assert peak <= 26e6
+        assert peak <= 16e6
 
     def test_parse_graph_file(self, tmp_path):
         path = tmp_path / "toy.graph"

@@ -1,9 +1,15 @@
-"""The package's modules import each other at module level, in layers.
+"""The package's modules import each other at module level, in layers, and
+read text files through one reader.
 
 An import inside a function hides a dependency until that function runs,
 and is how an import cycle gets papered over.  These tests read each
 ``src/entvec/*.py`` with ``ast`` and check that every import sits at
 module level and that the package-internal imports form no cycle.
+
+A text file read another way than by ``embeddings._text_lines`` is read by
+another rule: other line breaks, another UTF-8 check, errors at other
+lines.  So no module opens a file for reading text, wraps or decodes one,
+except through that reader.
 """
 
 import ast
@@ -48,3 +54,50 @@ def test_internal_imports_are_acyclic():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert set(order) == set(MODULES)
+
+
+# what turns a file's bytes into text, other than the reader
+TEXT_MAKERS = {"TextIOWrapper", "StringIO", "codecs", "fdopen", "read_text", "readlines"}
+# each parser of a text format, by module
+PARSERS = {"embeddings": {"load_text"}, "evaluation": {"load_pairs"},
+           "graph": {"parse_graph", "parse_graph_file"}, "training": {"load_model"}}
+
+
+def _functions(tree) -> dict:
+    return {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+
+def _open_mode(call) -> str | None:
+    """The mode of an ``open`` call, None when it is not a literal."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return mode.value if isinstance(mode, ast.Constant) else None
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_text_is_read_only_through_the_one_reader(name):
+    tree = MODULES[name]
+    reader = set()
+    if name == "embeddings":
+        reader = set(ast.walk(_functions(tree)["_text_lines"]))
+    for node in ast.walk(tree):
+        where = f"{name}.py line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = _open_mode(node)
+            # bytes, or text only to write
+            assert mode is not None and ("b" in mode or (mode[0] in "wax" and "+" not in mode)), \
+                f"{where}: open() in mode {mode!r} reads text"
+        if node not in reader:
+            assert getattr(node, "id", getattr(node, "attr", None)) not in TEXT_MAKERS, \
+                f"{where}: text read outside embeddings._text_lines"
+        if name != "embeddings":  # the binary format's tokens and _not_utf8 decode there
+            assert getattr(node, "attr", None) != "decode", f"{where}: bytes decoded"
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_every_text_parser_calls_the_reader(name):
+    functions = _functions(MODULES[name])
+    for parser in PARSERS[name]:
+        calls = {getattr(node.func, "id", None) for node in ast.walk(functions[parser])
+                 if isinstance(node, ast.Call)}
+        assert "_text_lines" in calls, f"{name}.{parser} does not read through _text_lines"

@@ -1,6 +1,7 @@
 """How the text readers read: ``load_text``'s block path against its per-line
 code, the two properties of numpy's text reader that the block path rests
-on, and errors reported in line order, invalid UTF-8 included."""
+on, and errors reported in line order, invalid UTF-8 included, by each of
+the four parsers that share one line reader."""
 
 import os
 import sys
@@ -19,6 +20,8 @@ from entvec.embeddings import (
     write_text,
 )
 from entvec.evaluation import DatasetFormatError, load_pairs
+from entvec.graph import GraphFormatError, parse_graph, parse_graph_file
+from entvec.training import load_model
 
 from conftest import deadline, load_fifo
 from test_corruption import ABSENT, corruptions, outcome, text_file
@@ -249,6 +252,45 @@ class TestLineOrder:
             load_pairs(path)
         assert (exc_info.value.line, str(exc_info.value)) == (line, f"line {line}: {message}")
 
+    @pytest.mark.parametrize("data, line, message", [
+        (b"node a 1\nnode b\xff 1\n", 2, "not valid UTF-8 (invalid start byte)"),
+        (b"node a 1\nentail a b\nnode c\xff 1\n", 2, "edge references unknown node 'b'"),
+        # a form feed separates fields, as str.split() reads it, not lines
+        (b"node a 1\x0cnode b 1\n", 1, "node 'a' declares dim 1 but lists 3 priors"),
+    ], ids=["bad-byte", "row-error-first", "form-feed"])
+    def test_parse_graph_file(self, tmp_path, data, line, message):
+        path = tmp_path / "toy.graph"
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError) as exc_info:
+            parse_graph_file(path)
+        assert (exc_info.value.line, str(exc_info.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                                     "\u2028"])
+    def test_parse_graph_breaks_lines_as_a_file_does(self, tmp_path, brk):
+        text = f"node a 1{brk}node b 1{brk}entail a c\n"
+        path = tmp_path / "toy.graph"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = []
+        for read, source in ((parse_graph, text), (parse_graph_file, path)):
+            with pytest.raises(GraphFormatError) as exc_info:
+                read(source)
+            got.append((exc_info.value.line, str(exc_info.value)))
+        assert got[0] == got[1]
+        assert got[0][0] == (3 if brk in ("\n", "\r\n", "\r") else 1)
+
+    @pytest.mark.parametrize("data, line, message", [
+        (b"2 1 0.0 bwd\n1\n\xff\n", 3, "not valid UTF-8 (invalid start byte)"),
+        (b"2 1 0.0 bwd\nx\n\xff\n", 2, "could not convert string to float: 'x'"),
+    ], ids=["bad-byte", "row-error-first"])
+    def test_load_model(self, tmp_path, data, line, message):
+        path = tmp_path / "m.model"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc_info:
+            load_model(path)
+        assert (type(exc_info.value), str(exc_info.value)) == (ValueError,
+                                                               f"line {line}: {message}")
+
     def test_a_bad_row_beats_a_bad_byte_within_one_read(self, tmp_path):
         # the bad byte is well inside the first 8 KB that a reader decodes at once
         path = tmp_path / "vecs.txt"
@@ -278,3 +320,34 @@ class TestStreamsThatAreNotUTF8:
         with deadline(20.0), pytest.raises(DatasetFormatError) as exc_info:
             read(b"dog\tanimal\t1\nca\xfft\tanimal\t0\n", fifo)
         assert exc_info.value.line == 2
+
+    def test_parse_graph_file(self, tmp_path):
+        fifo = tmp_path / "stream.graph"
+        os.mkfifo(fifo)
+        read = partial(load_fifo, lambda path, keep: parse_graph_file(path))
+        with deadline(20.0), pytest.raises(GraphFormatError) as exc_info:
+            read(b"node a 1\nnode b\xff 1\n", fifo)
+        assert exc_info.value.line == 2
+
+    def test_load_model(self, tmp_path):
+        fifo = tmp_path / "stream.model"
+        os.mkfifo(fifo)
+        read = partial(load_fifo, lambda path, keep: load_model(path))
+        with deadline(20.0), pytest.raises(ValueError,
+                                           match="^line 2: not valid UTF-8 "):
+            read(b"1 1 0.0 bwd\n\xff\n", fifo)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_a_graph_reads_from_a_stream_as_from_a_file(tmp_path):
+    data = b"node a 2 0.5 -1\r\nnode b 2\rentail a b\nobserve b 0 1.5\n"
+    fifo, path = tmp_path / "stream.graph", tmp_path / "file.graph"
+    os.mkfifo(fifo)
+    path.write_bytes(data)
+    with deadline(20.0):
+        streamed = load_fifo(lambda path, keep: parse_graph_file(path), data, fifo)
+    filed = parse_graph_file(path)
+    assert streamed.node_names == filed.node_names == ["a", "b"]
+    assert streamed.pos_edges == filed.pos_edges == [("a", "b")]
+    assert streamed.theta("a").tolist() == filed.theta("a").tolist() == [0.5, -1.0]
+    assert streamed.observations["b"].tolist() == [1.5, 0.0]

@@ -6,6 +6,7 @@ from entvec.evaluation import WordPair, WordPairDataset, make_folds, resolve_pai
 from entvec.training import (
     MappingModel,
     TrainConfig,
+    TrainingDivergedError,
     init_mapping,
     load_model,
     loss_and_grad,
@@ -271,6 +272,26 @@ class TestTrain:
         assert [fold.train for fold in folds] == [(), ()]
         with pytest.raises(ValueError, match="fold 0 has no training pairs"):
             train(folds, resolve_pairs(pairs, table)[2:], TrainConfig(epochs=1), op="dif")
+
+    @pytest.mark.parametrize("op", ["bwd", "fwd", "fact", "dif"])
+    def test_a_diverging_step_is_named(self, op):
+        # the first step at this size overflows the mapping; the suite runs with
+        # warnings as errors, so numpy must not warn on the way
+        folds, rows = separable_setup()
+        with pytest.raises(TrainingDivergedError) as exc_info:
+            train(folds, rows, TrainConfig(epochs=3, batch_size=4, step_size=1e308), op=op)
+        err = exc_info.value
+        assert (err.fold, err.epoch, err.batch, err.step_size) == (0, 0, 1, 1e308)
+        assert str(err) == ("training diverged at fold 0, epoch 0, batch 1: the loss or the "
+                            "mapping is no longer finite at step size 1e+308")
+
+    def test_a_non_finite_input_is_not_a_divergence(self):
+        folds, rows = separable_setup()
+        words = rows[0].copy()
+        words[rows[1][folds[0].train[-1]]] = np.inf  # seed 0 puts it in the second batch
+        with pytest.raises(ValueError, match="non-finite values") as exc_info:
+            train(folds, (words, *rows[1:]), TrainConfig(epochs=1, batch_size=4), op="bwd")
+        assert type(exc_info.value) is not TrainingDivergedError
 
     def test_history_length_and_count(self):
         folds, rows = separable_setup()
