@@ -42,7 +42,8 @@ that arrive.  The returned matrix holds exactly its rows.
 
 ``load_text`` reads line by line until the header or the first row fixes
 ``dim``.  Then it takes whole lines in blocks of about ``_TEXT_BLOCK``
-characters, so a block's memory does not grow with ``dim``, and parses all
+characters, cut by ``_text_blocks`` (which also cuts the graph parser's
+blocks), so a block's memory does not grow with ``dim``, and parses all
 of a block's values in one ``np.loadtxt`` call, as float32.  A block is
 kept only when each of its rows has a token that no earlier row has, is
 valid UTF-8 and parses to ``dim`` values; any other block is read again
@@ -109,7 +110,7 @@ from itertools import compress
 import numpy as np
 
 _CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
-_TEXT_BLOCK = 1 << 18  # characters load_text parses per numpy call; results do not depend on it
+_TEXT_BLOCK = 1 << 18  # characters a text parser reads per block; results do not depend on it
 _MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
 __all__ = [
@@ -494,6 +495,21 @@ def _text_lines(fh):
         yield from enumerate(text, start=1)
 
 
+def _text_blocks(lines):
+    """Cut ``lines``, numbered lines as ``_text_lines`` yields them, into blocks of
+    whole lines of about ``_TEXT_BLOCK`` characters; yield ``(the number of a
+    block's first line, its lines)``.  The one block cutter of the text parsers."""
+    block, chars = [], 0
+    for lineno, raw in lines:
+        block.append(raw)
+        chars += len(raw)
+        if chars >= _TEXT_BLOCK:
+            yield lineno + 1 - len(block), block
+            block, chars = [], 0
+    if block:
+        yield lineno + 1 - len(block), block
+
+
 class _TextRows:
     """The rows of one text file as ``load_text`` reads them.
 
@@ -613,15 +629,8 @@ def load_text(path, keep=None) -> EmbeddingTable:
             rows.line(lineno, raw)
             if rows.sink is not None:
                 break
-        block, chars = [], 0
-        for lineno, raw in lines:
-            block.append(raw)
-            chars += len(raw)
-            if chars >= _TEXT_BLOCK:
-                rows.block(lineno + 1 - len(block), block)
-                block, chars = [], 0
-        if block:
-            rows.block(lineno + 1 - len(block), block)
+        for first, block in _text_blocks(lines):
+            rows.block(first, block)
     return rows.table()
 
 

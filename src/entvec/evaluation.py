@@ -398,17 +398,25 @@ def _method_readings(methods, shift) -> dict:
 
 
 def _mapped_scores(method, folds, rows, train_config):
-    """Held-out forward and reversed scores, pooled over the folds."""
+    """Held-out forward and reversed scores, pooled over the folds.
+
+    Scored as ``training.train`` trains: a fold whose held-out scores are not
+    finite raises TrainingDivergedError, without a numpy warning.
+    """
     cfg = train_config if train_config is not None else training.TrainConfig()
     results = training.train(folds, rows, cfg, MAPPED_METHODS[method])
     words, hi, gi, _ = rows
     scores = np.full(hi.size, np.nan)
     rev = np.full(hi.size, np.nan)
-    for fold, trained in zip(folds, results):
-        idx = np.asarray(fold.test, dtype=np.int64)
-        hypo_mat, hyper_mat = words[hi[idx]], words[gi[idx]]
-        scores[idx] = training.raw_scores(trained.model, hypo_mat, hyper_mat)
-        rev[idx] = training.raw_scores(trained.model, hyper_mat, hypo_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fold_idx, (fold, trained) in enumerate(zip(folds, results)):
+            idx = np.asarray(fold.test, dtype=np.int64)
+            hypo_mat, hyper_mat = words[hi[idx]], words[gi[idx]]
+            scores[idx] = training.raw_scores(trained.model, hypo_mat, hyper_mat)
+            rev[idx] = training.raw_scores(trained.model, hyper_mat, hypo_mat)
+            # core rejects non-finite mapped vectors, so the scoring overflowed
+            if not (np.isfinite(scores[idx]).all() and np.isfinite(rev[idx]).all()):
+                raise training.TrainingDivergedError(fold_idx, None, None, cfg.step_size)
     if np.any(np.isnan(scores)):
         raise ValueError("some pairs were never assigned to a test fold")
     return scores, rev

@@ -35,18 +35,18 @@ when C reaches 1, e.g. in one dimension) saturates at the clamp instead
 of erroring.  Two such terms of opposite sign that meet in one node (a
 +inf and a -inf, as ``notentail a b`` and ``notentail b a`` in one
 dimension give) sum to NaN.  NaN is always an error, SolverNumericsError,
-reported at the first node in declaration order that produced it.  Undamped sweeps can oscillate
-instead of converging on graphs with many sibling negative edges;
-``damping`` (e.g. 0.3) restores convergence there.
+reported at the first node in declaration order that produced it, with
+that node's notentail edges.  Undamped sweeps can oscillate instead of
+converging on graphs with many sibling negative edges; ``damping`` (e.g.
+0.3) restores convergence there.
 
 A graph is stored as arrays: one float64 prior matrix with a name -> row
 dict, edges as ordered, de-duplicated (row, row) pairs, and the row of
 pinned values of each observed node.  The prior matrix doubles its rows
 when full, so it may hold more rows than nodes; ``graph_infer`` reads the
-first ones.  Graphs can be built programmatically or parsed, one line at a
-time, from a line-oriented text format, read as every text format is
-(lines end at \\n, \\r\\n or \\r; a line that is not UTF-8 is an error at
-that line):
+first ones.  Graphs can be built programmatically or parsed from a
+line-oriented text format, read as every text format is (lines end at \\n,
+\\r\\n or \\r; a line that is not UTF-8 is an error at that line):
 
     # comment
     node <name> <dim> [theta_1 ... theta_dim]   (theta defaults to zeros)
@@ -56,6 +56,21 @@ that line):
 
 Observing any dimension freezes the whole node: unobserved dimensions
 keep their prior value and the node is never updated, only read.
+
+The parser reads line by line (``_line``, the one definition of the format)
+until a node fixes the dim, then takes whole lines in blocks of about
+``embeddings._TEXT_BLOCK`` characters, as ``load_text`` does.  ``_block``
+applies a block at once, with one ``np.loadtxt`` call for its priors, one
+growth of the prior matrix (to what node-by-node doubling gives), one
+update of the name dict and of each edge dict, and its observations in line
+order, when it can vouch that ``_line`` would read each of its lines
+without an error: new node names, one spelling of the graph's dim,
+finite priors that numpy parses (it parses as ``float`` does, but rejects
+``1_0``), edges and observations that name nodes declared before their
+line, no self-edge, an observed index in range and a finite observed value.
+Any other block is read again from its first line by ``_line``, so an error
+keeps its line and message, and nothing a file gives depends on the block
+size.
 """
 
 from __future__ import annotations
@@ -68,7 +83,7 @@ from itertools import chain
 import numpy as np
 
 from .core import DimensionMismatchError, log_sigmoid, sigmoid
-from .embeddings import _not_utf8, _text_lines
+from .embeddings import _not_utf8, _text_blocks, _text_lines
 
 __all__ = [
     "GraphStructureError",
@@ -99,7 +114,8 @@ class GraphFormatError(ValueError):
 
 
 class SolverNumericsError(ValueError):
-    """A sweep produced NaN; names the node, dimension and sweep."""
+    """A sweep produced NaN; names the node, dimension and sweep, and the node's
+    notentail edges, whose terms are the ones that can be infinite."""
 
 
 def _update_args(theta, q, theta_name: str, q_name: str):
@@ -287,20 +303,25 @@ class EntailmentGraph:
                 f"node {name!r} has dim {dim} but the graph uses dim {self._dim}"
             )
         row = len(self._row)
-        if row == self._prior.shape[0]:
-            try:
-                grown = np.zeros((max(2 * row, 1), dim))
-            except (MemoryError, ValueError):
-                raise GraphStructureError(
-                    f"node {name!r} dim {dim} cannot be allocated"
-                ) from None
-            if row:
-                grown[:row] = self._prior
-            self._prior = grown
+        try:
+            self._room(row + 1, dim)
+        except (MemoryError, ValueError):
+            raise GraphStructureError(f"node {name!r} dim {dim} cannot be allocated") from None
         if theta is not None:
             self._prior[row] = theta
         self._dim = dim
         self._row[name] = row
+
+    def _room(self, rows: int, dim: int) -> None:
+        """Double the prior matrix's rows until it holds ``rows``; new rows are zeros."""
+        have = grown = self._prior.shape[0]
+        while grown < rows:
+            grown = max(2 * grown, 1)
+        if grown > have:
+            prior = np.zeros((grown, dim))
+            if have:
+                prior[:have] = self._prior
+            self._prior = prior
 
     def _edge(self, a: str, b: str) -> tuple:
         edge = self._row.get(a), self._row.get(b)
@@ -456,8 +477,11 @@ def graph_infer(graph: EntailmentGraph, cfg: SolverConfig | None = None) -> Solv
                 # in declaration order (argmax's pick) is where a
                 # node-by-node sweep would have stopped
                 i, k = divmod(int(change.argmax()), change.shape[1])
+                negated = ", ".join(f"{names[a]!r} -> {names[b]!r}"
+                                    for a, b in graph._neg if i in (a, b))
                 raise SolverNumericsError(
-                    f"NaN update for node {names[i]!r} dimension {k} at sweep {sweep}"
+                    f"NaN update for node {names[i]!r} dimension {k} at sweep {sweep}; "
+                    f"its notentail edges: {negated or 'none'}"
                 )
             deltas.append(delta)
             if delta < cfg.tol:
@@ -483,52 +507,131 @@ def _number(text: str, what: str, line: int, kind=float):
         raise GraphFormatError(f"bad {what} {text!r}", line) from None
 
 
-def _parse(lines) -> EntailmentGraph:
-    """Build a graph from numbered lines of the text format, one at a time."""
-    graph = EntailmentGraph()
-    for lineno, raw in lines:
-        reason = _not_utf8(raw)
-        if reason:
-            raise GraphFormatError(f"not valid UTF-8 ({reason})", lineno)
-        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+def _line(graph: EntailmentGraph, lineno: int, raw: str) -> None:
+    """Read line ``lineno``, ``raw``, into ``graph``: the one definition of the format."""
+    reason = _not_utf8(raw)
+    if reason:
+        raise GraphFormatError(f"not valid UTF-8 ({reason})", lineno)
+    fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+    if not fields:
+        return
+    kind = fields[0]
+    try:
+        if kind == "node":
+            if len(fields) < 3:
+                raise GraphFormatError("node needs a name and a dim", lineno)
+            name = fields[1]
+            dim = _number(fields[2], "dim", lineno, int)
+            theta = None
+            if len(fields) > 3:
+                if len(fields) - 3 != dim:
+                    raise GraphFormatError(
+                        f"node {name!r} declares dim {dim} but lists {len(fields) - 3} priors",
+                        lineno,
+                    )
+                try:
+                    theta = list(map(float, fields[3:]))
+                except ValueError:
+                    # parse field by field only to name the bad one
+                    theta = [_number(t, "prior", lineno) for t in fields[3:]]
+            graph.add_node(name, dim, theta)
+        elif kind == "entail" or kind == "notentail":
+            if len(fields) != 3:
+                raise GraphFormatError(f"{kind} needs exactly two node names", lineno)
+            if kind == "entail":
+                graph.add_entail(fields[1], fields[2])
+            else:
+                graph.add_not_entail(fields[1], fields[2])
+        elif kind == "observe":
+            if len(fields) != 4:
+                raise GraphFormatError("observe needs a name, an index and a value", lineno)
+            graph.observe(fields[1], _number(fields[2], "dimension index", lineno, int),
+                          _number(fields[3], "log-odds value", lineno))
+        else:
+            raise GraphFormatError(f"unknown directive {kind!r}", lineno)
+    except GraphStructureError as exc:
+        raise GraphFormatError(str(exc), lineno) from None
+
+
+def _block(graph: EntailmentGraph, lines: list) -> bool:
+    """Apply ``lines`` to ``graph``, which has a dim, at once, and return True, when
+    ``_line`` would read each of them without an error (the module docstring
+    lists what that takes); else return False and leave ``graph`` untouched."""
+    if any(map(_not_utf8, lines)):
+        return False
+    dim, row = graph._dim, graph._row
+    new = {}  # the block's nodes: name -> row
+    spellings = set()  # of the block's dims
+    rests, at = [], []  # the priors of each node that lists them, and its row
+    edges = {"entail": [], "notentail": []}
+    observed = []
+    for raw in lines:
+        fields = (raw.partition("#")[0] if "#" in raw else raw).split(None, 3)
         if not fields:
             continue
         kind = fields[0]
-        try:
-            if kind == "node":
-                if len(fields) < 3:
-                    raise GraphFormatError("node needs a name and a dim", lineno)
-                name = fields[1]
-                dim = _number(fields[2], "dim", lineno, int)
-                theta = None
-                if len(fields) > 3:
-                    if len(fields) - 3 != dim:
-                        raise GraphFormatError(
-                            f"node {name!r} declares dim {dim} but lists {len(fields) - 3} priors",
-                            lineno,
-                        )
-                    try:
-                        theta = list(map(float, fields[3:]))
-                    except ValueError:
-                        # parse field by field only to name the bad one
-                        theta = [_number(t, "prior", lineno) for t in fields[3:]]
-                graph.add_node(name, dim, theta)
-            elif kind == "entail" or kind == "notentail":
-                if len(fields) != 3:
-                    raise GraphFormatError(f"{kind} needs exactly two node names", lineno)
-                if kind == "entail":
-                    graph.add_entail(fields[1], fields[2])
-                else:
-                    graph.add_not_entail(fields[1], fields[2])
-            elif kind == "observe":
-                if len(fields) != 4:
-                    raise GraphFormatError("observe needs a name, an index and a value", lineno)
-                graph.observe(fields[1], _number(fields[2], "dimension index", lineno, int),
-                              _number(fields[3], "log-odds value", lineno))
-            else:
-                raise GraphFormatError(f"unknown directive {kind!r}", lineno)
-        except GraphStructureError as exc:
-            raise GraphFormatError(str(exc), lineno) from None
+        if kind == "node":
+            if len(fields) < 3 or fields[1] in row or fields[1] in new:
+                return False
+            new[fields[1]] = len(row) + len(new)
+            spellings.add(fields[2])
+            if len(fields) == 4:
+                rests.append(fields[3])
+                at.append(new[fields[1]])
+        elif kind in edges:
+            if len(fields) != 3:
+                return False
+            a, b = row.get(fields[1], new.get(fields[1])), row.get(fields[2], new.get(fields[2]))
+            if a is None or b is None or a == b:
+                return False
+            edges[kind].append((a, b))
+        elif kind == "observe":
+            if len(fields) != 4 or (fields[1] not in row and fields[1] not in new):
+                return False
+            try:
+                k, value = int(fields[2]), float(fields[3])
+            except ValueError:  # float() also rejects a value with fields after it
+                return False
+            if not (0 <= k < dim and math.isfinite(value)):
+                return False
+            observed.append((fields[1], k, value))
+        else:
+            return False
+    try:
+        if len(spellings) > 1 or any(int(s) != dim for s in spellings):
+            return False
+        priors = (np.loadtxt(rests, np.float64, comments=None, ndmin=2) if rests
+                  else np.zeros((0, dim)))  # np.loadtxt warns when given no rows
+    except ValueError:  # a dim int() rejects; a prior float() may yet accept, or too few
+        return False
+    if priors.shape != (len(at), dim) or not np.isfinite(priors).all():
+        return False
+    del rests  # before the prior matrix grows, which is when a parse peaks
+    try:
+        graph._room(len(row) + len(new), dim)
+    except MemoryError:  # then _line names the node
+        return False
+    graph._prior[at] = priors
+    row.update(new)
+    graph._pos.update(dict.fromkeys(edges["entail"]))
+    graph._neg.update(dict.fromkeys(edges["notentail"]))
+    for name, k, value in observed:
+        graph.observe(name, k, value)
+    return True
+
+
+def _parse(lines) -> EntailmentGraph:
+    """Build a graph from numbered lines of the text format: line by line until
+    a node fixes the dim, then a block at a time."""
+    graph = EntailmentGraph()
+    for lineno, raw in lines:
+        _line(graph, lineno, raw)
+        if graph.dim is not None:
+            break
+    for first, block in _text_blocks(lines):
+        if not _block(graph, block):
+            for lineno, raw in enumerate(block, start=first):
+                _line(graph, lineno, raw)
     return graph
 
 

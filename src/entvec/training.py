@@ -115,13 +115,17 @@ class TrainingDivergedError(ValueError):
 
     Names, 0-based, the fold, epoch and batch at which the loss, the mapping
     or the vectors it maps were first seen non-finite, and the step size.
+    ``epoch`` and ``batch`` are None when the fold trained to a finite
+    mapping whose scores on its held-out pairs are not finite.
     """
 
-    def __init__(self, fold: int, epoch: int, batch: int, step_size: float):
-        super().__init__(
-            f"training diverged at fold {fold}, epoch {epoch}, batch {batch}: the loss or "
-            f"the mapping is no longer finite at step size {step_size:g}"
-        )
+    def __init__(self, fold: int, epoch: int | None, batch: int | None, step_size: float):
+        if epoch is None:
+            where, what = f"fold {fold}", "its held-out scores are not finite"
+        else:
+            where = f"fold {fold}, epoch {epoch}, batch {batch}"
+            what = "the loss or the mapping is no longer finite"
+        super().__init__(f"training diverged at {where}: {what} at step size {step_size:g}")
         self.fold, self.epoch, self.batch, self.step_size = fold, epoch, batch, step_size
 
 

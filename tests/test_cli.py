@@ -170,6 +170,19 @@ class TestEvalCommand:
         assert err.startswith("entvec: error: training diverged at fold 0, ")
         assert err.count("\n") == 1
 
+    def test_held_out_scores_that_overflow_are_one_error_line(self, capsys, tmp_path):
+        # the mapping stays finite at this step, but the backward scores of the
+        # held-out pairs overflow; the suite runs with warnings as errors
+        vec_path, pair_path = write_disjoint_fixture(tmp_path)
+        assert main([
+            "eval", "--embeddings", vec_path, "--pairs", pair_path, "--methods", "mapped-bwd",
+            "--train", "--folds", "2", "--epochs", "3", "--step-size", "1e308",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("entvec: error: training diverged at fold 0: its held-out "
+                                "scores are not finite at step size 1e+308\n")
+
     def test_saturated_pair_does_not_fail_the_eval(self, capsys, tmp_path):
         vec_path = tmp_path / "sat.txt"
         vec_path.write_text("up -40 0\ndown 40 0\n")
@@ -392,7 +405,8 @@ class TestGraphCommand:
         assert main(["graph", "--file", str(graph)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "entvec: error: NaN update for node 'a' dimension 0 at sweep 1\n"
+        assert captured.err == ("entvec: error: NaN update for node 'a' dimension 0 at sweep 1; "
+                                "its notentail edges: 'a' -> 'b', 'b' -> 'a'\n")
 
     def test_format_error_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"

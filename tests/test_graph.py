@@ -80,8 +80,11 @@ def sequential_infer(graph, cfg):
                     new = new - (np.log1p(-c * sigmoid(-state[j])) - np.log1p(-c))
                 if np.any(np.isnan(new)):
                     k = int(np.flatnonzero(np.isnan(new))[0])
+                    negated = ", ".join(f"{a!r} -> {b!r}" for a, b in graph.neg_edges
+                                        if name in (a, b))
                     raise SolverNumericsError(
-                        f"NaN update for node {name!r} dimension {k} at sweep {sweep}"
+                        f"NaN update for node {name!r} dimension {k} at sweep {sweep}; "
+                        f"its notentail edges: {negated}"
                     )
                 if cfg.damping > 0.0:
                     new = (1.0 - cfg.damping) * new + cfg.damping * old
@@ -385,7 +388,8 @@ class TestGraphInfer:
         g.add_not_entail("b", "a")
         with pytest.raises(SolverNumericsError) as exc_info:
             graph_infer(g)
-        assert str(exc_info.value) == "NaN update for node 'a' dimension 0 at sweep 1"
+        assert str(exc_info.value) == ("NaN update for node 'a' dimension 0 at sweep 1; "
+                                       "its notentail edges: 'a' -> 'b', 'b' -> 'a'")
 
     def test_deterministic(self):
         def run():
@@ -471,7 +475,8 @@ class TestGraphInfer:
             warnings.simplefilter("error")
             with pytest.raises(SolverNumericsError) as exc_info:
                 graph_infer(self.nan_graph(), SolverConfig(clamp=1000.0))
-        assert str(exc_info.value) == "NaN update for node 'b' dimension 0 at sweep 1"
+        assert str(exc_info.value) == ("NaN update for node 'b' dimension 0 at sweep 1; "
+                                       "its notentail edges: 'a' -> 'b'")
 
     def test_nan_names_first_node_in_declaration_order(self):
         # y sits in the first wavefront level and b in the second, but b is

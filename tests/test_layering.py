@@ -10,6 +10,10 @@ A text file read another way than by ``embeddings._text_lines`` is read by
 another rule: other line breaks, another UTF-8 check, errors at other
 lines.  So no module opens a file for reading text, wraps or decodes one,
 except through that reader.
+
+``np.loadtxt`` reads as a parser's per-line code reads only the lines that
+a block path has checked first, so only the two block paths call it, and
+both take their blocks from one cutter sized by one constant.
 """
 
 import ast
@@ -101,3 +105,58 @@ def test_every_text_parser_calls_the_reader(name):
         calls = {getattr(node.func, "id", None) for node in ast.walk(functions[parser])
                  if isinstance(node, ast.Call)}
         assert "_text_lines" in calls, f"{name}.{parser} does not read through _text_lines"
+
+
+def _qualified(tree) -> dict:
+    """Each function of ``tree`` by its dotted name in the module (``Class.method``)."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    found[prefix + child.name] = child
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
+def _named(tree, name: str) -> list:
+    """The nodes of ``tree`` that name ``name``, as a variable or an attribute."""
+    return [node for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == name]
+
+
+# the block paths: the only functions that may name np.loadtxt
+BLOCK_PATHS = {"embeddings": "_TextRows._parse", "graph": "_block"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_loadtxt_only_in_the_block_paths(name):
+    tree = MODULES[name]
+    allowed = set()
+    if name in BLOCK_PATHS:
+        allowed = set(ast.walk(_qualified(tree)[BLOCK_PATHS[name]]))
+        assert set(_named(tree, "loadtxt")) & allowed  # the guard sees the real call
+    for node in _named(tree, "loadtxt"):
+        assert node in allowed, f"{name}.py line {node.lineno}: np.loadtxt outside a block path"
+
+
+def test_one_block_size_and_one_block_cutter():
+    # in the modules that parse text (core's _BLOCK_ELEMS sizes a scoring gather)
+    constants = {(name, target.id) for name in PARSERS for node in MODULES[name].body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in getattr(node, "targets", [getattr(node, "target", None)])
+                 if isinstance(target, ast.Name) and "BLOCK" in target.id.upper()}
+    assert constants == {("embeddings", "_TEXT_BLOCK")}
+    cutter = set(ast.walk(_qualified(MODULES["embeddings"])["_text_blocks"]))
+    for name, tree in MODULES.items():
+        for node in _named(tree, "_TEXT_BLOCK"):
+            assert isinstance(node.ctx, ast.Store) or node in cutter, \
+                f"{name}.py line {node.lineno}: _TEXT_BLOCK read outside _text_blocks"
+    for name, parser in (("embeddings", "load_text"), ("graph", "_parse")):
+        calls = {getattr(node.func, "id", None)
+                 for node in ast.walk(_qualified(MODULES[name])[parser])
+                 if isinstance(node, ast.Call)}
+        assert "_text_blocks" in calls, f"{name}.{parser} does not cut blocks with _text_blocks"

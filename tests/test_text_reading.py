@@ -1,7 +1,7 @@
-"""How the text readers read: ``load_text``'s block path against its per-line
-code, the two properties of numpy's text reader that the block path rests
-on, and errors reported in line order, invalid UTF-8 included, by each of
-the four parsers that share one line reader."""
+"""How the text readers read: the block paths of ``load_text`` and of the graph
+parser against their per-line code, the two properties of numpy's text reader
+that the block paths rest on, and errors reported in line order, invalid UTF-8
+included, by each of the four parsers that share one line reader."""
 
 import os
 import sys
@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from entvec import embeddings
+from entvec import embeddings, graph
 from entvec.embeddings import (
     DuplicateTokenError,
     EmbeddingTable,
@@ -168,6 +168,110 @@ class TestBlockWarnings:
         table = load_text(path)
         assert table.tokens == [f"w{k}" for k in range(23)]
         assert table.matrix.tolist() == [[k, -k] for k in range(23)]
+
+
+def tree_lines(interleave=False):
+    """A binary tree of 12 nodes with dim 3, a negated edge and observations."""
+    nodes = [f"node n{i} 3 {i}.25 -{i}.5 {i + 1}e-3" for i in range(12)]
+    edges = [f"entail n{i} n{(i - 1) // 2}" for i in range(1, 12)]
+    if interleave:
+        lines = nodes[:1] + [line for pair in zip(nodes[1:], edges) for line in pair]
+    else:
+        lines = nodes + edges
+    return lines + ["notentail n3 n4", "observe n5 1 2.5", "observe n5 0 -1.5",
+                    "observe n2 2 0.75"]
+
+
+def graph_bytes(lines, end="\n"):
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
+def tree_with(at, *lines, drop=0):
+    """The tree's lines with ``lines`` put in at index ``at``, replacing ``drop`` lines."""
+    tree = tree_lines()
+    return graph_bytes(tree[:at] + list(lines) + tree[at + drop:])
+
+
+# data, and the (line, message) of its error or None when it loads
+GRAPH_CASES = {
+    "clean": (graph_bytes(tree_lines()), None),
+    "bad-prior-mid-block": (tree_with(5, "node n5 3 0.5 x 1.0", drop=1), (6, "bad prior 'x'")),
+    "underscore-prior": (tree_with(5, "node n5 3 1_0 2 3", drop=1), None),
+    "overflow-prior": (tree_with(5, "node n5 3 1e400 2 3", drop=1),
+                       (6, "node 'n5' theta contains non-finite values")),
+    "duplicate-node": (tree_with(8, "node n3 3 1 2 3"), (9, "duplicate node 'n3'")),
+    "edge-to-later-node": (tree_with(4, "entail n2 n9"),
+                           (5, "edge references unknown node 'n9'")),
+    "self-edge": (tree_with(14, "entail n4 n4"), (15, "self-edge on node 'n4'")),
+    "observe-before-node": (tree_with(3, "observe n9 0 1.0"),
+                            (4, "observation on unknown node 'n9'")),
+    "observe-out-of-range": (tree_with(25, "observe n5 3 1.0"),
+                             (26, "observation index 3 out of range for dim 3")),
+    "edge-with-a-third-name": (tree_with(14, "entail n4 n1 n0"),
+                               (15, "entail needs exactly two node names")),
+    "observe-with-a-fifth-field": (tree_with(25, "observe n5 1 2.5 9"),
+                                   (26, "observe needs a name, an index and a value")),
+    "dims-3-and-03": (graph_bytes(line.replace(" 3 ", " 03 ") if line.startswith("node n1")
+                                    else line for line in tree_lines()), None),
+    "comment-after-priors": (graph_bytes(line + " # a note" if line.startswith("node") else line
+                                         for line in ["# a tree"] + tree_lines()), None),
+    "not-utf8": (tree_with(7, "node n7 3 1 2 3", drop=1).replace(b"n7 3", b"n\xff7 3", 1),
+                 (8, "not valid UTF-8 (invalid start byte)")),
+    "crlf": (graph_bytes(tree_lines(), end="\r\n"), None),
+    "interleaved": (graph_bytes(tree_lines(interleave=True)), None),
+    "no-priors-and-repeats": (tree_with(6, "node z 3", "entail z n0", "entail z n0",
+                                        "observe z 1 4.0", "observe z 1 5.0"), None),
+}
+
+
+def graph_outcome(read, source):
+    """(class, line, message), or the names, prior bytes, edges and observations."""
+    try:
+        g = read(source)
+    except GraphFormatError as exc:
+        return type(exc), exc.line, str(exc)
+    return (g.node_names, [g.theta(name).tobytes() for name in g.node_names], g.pos_edges,
+            g.neg_edges, [(name, vec.tobytes()) for name, vec in g.observations.items()])
+
+
+class TestGraphBlocks:
+    """``parse_graph`` and ``parse_graph_file`` give the graph or error that
+    ``_line`` gives line by line, at every block size."""
+
+    @pytest.mark.parametrize("data, fault", GRAPH_CASES.values(), ids=GRAPH_CASES)
+    def test_blocks_give_the_per_line_outcome(self, tmp_path, monkeypatch, data, fault):
+        applied = []
+        block = graph._block
+        monkeypatch.setattr(graph, "_block",
+                            lambda g, lines: applied.append(block(g, lines)) or applied[-1])
+        path = tmp_path / "toy.graph"
+        path.write_bytes(data)
+        text = data.decode("utf-8", "surrogateescape")
+        got = []
+        for chars in BLOCKS:
+            monkeypatch.setattr(embeddings, "_TEXT_BLOCK", chars)
+            got.append((graph_outcome(parse_graph_file, path), graph_outcome(parse_graph, text)))
+        with monkeypatch.context() as forced:
+            forced.setattr(graph, "_block", lambda g, lines: False)
+            filed, texted = graph_outcome(parse_graph_file, path), graph_outcome(parse_graph, text)
+        assert got == [(filed, texted)] * len(BLOCKS)
+        if fault is None:
+            assert filed == texted and len(filed[0]) >= 12
+        else:
+            line, message = fault
+            assert filed == (GraphFormatError, line, f"line {line}: {message}")
+            # a lone surrogate in a string encodes to other bytes than 0xff
+            assert texted[:2] == filed[:2]
+        assert True in applied  # the blocks before a fault, at least, are applied whole
+        assert (False in applied) == (fault is not None or b"_" in data or b" 03 " in data)
+
+    def test_a_block_grows_the_prior_matrix_as_node_by_node(self, monkeypatch):
+        text = graph_bytes(tree_lines(interleave=True)).decode()
+        got = []
+        for step in (lambda g, lines: False, graph._block):
+            monkeypatch.setattr(graph, "_block", step)
+            got.append(parse_graph(text)._prior.shape)
+        assert got == [(16, 3), (16, 3)]
 
 
 class TestNumpyReader:
