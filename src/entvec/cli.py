@@ -94,7 +94,9 @@ def build_parser() -> _Parser:
     p.add_argument("--folds", type=int, default=evaluation.EvalRequest.k_folds)
     p.add_argument("--seed", type=int, default=evaluation.EvalRequest.seed)
     p.add_argument("--shift", type=float, default=shift)
-    p.add_argument("--threads", type=int, default=evaluation.EvalRequest.threads)
+    p.add_argument("--threads", type=int, default=evaluation.EvalRequest.threads,
+                   help="run the operator and baseline methods in parallel; mapped "
+                        "methods train one after another on the calling thread")
     p.add_argument("--train", action="store_true",
                    help="allow mapped-* methods (trains per fold)")
     _add_train_flags(p)

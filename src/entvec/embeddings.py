@@ -581,13 +581,15 @@ class _TextRows:
         numpy's reader splits fields on the whitespace ``str.split`` splits
         on, and parses a value as ``float`` does or rejects it (``1_0`` and
         ``١``, which ``float`` accepts, are rejected): then ``line`` reads them.
+        It rejects a value holding a lone surrogate, a byte that is not UTF-8,
+        so only the tokens are checked for UTF-8 here.
         """
         tokens, fields = [], []
         for raw in lines:
             parts = raw.split(None, 1)
             if not parts:
                 continue
-            if len(parts) == 1 or _not_utf8(raw):
+            if len(parts) == 1 or _not_utf8(parts[0]):
                 return None
             tokens.append(parts[0])
             fields.append(parts[1])

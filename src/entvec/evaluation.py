@@ -30,7 +30,9 @@ Method tokens understood by ``run_eval``:
                                      (linear mapping trained per fold)
 
 Mapped methods train on each fold's filtered training pairs and pool the
-held-out test scores across folds before computing both metrics.
+held-out test scores across folds before computing both metrics.  They
+train on the thread that calls ``run_eval``, whatever ``threads`` is: only
+the operator and baseline methods run on its pool.
 
 The operator methods read sigma / log sigma tables of their words.  Before
 any method runs, ``run_eval`` builds each reading's tables once from that
@@ -426,7 +428,11 @@ def run_eval(request: EvalRequest) -> EvalReport:
     """Score every requested method and aggregate both metrics into a report.
 
     The operator methods share one set of tables per copy base (see the
-    module docstring); ``threads`` > 1 gives the report of ``threads`` = 1.
+    module docstring).  With ``threads`` > 1 the operator and baseline
+    methods run on a pool of that many threads, when there are two or more
+    of them, and the mapped methods train one after another on the calling
+    thread; the rows are collected in method order, so the report, and the
+    error of the first failing method, are those of ``threads`` = 1.
     """
     methods = tuple(request.methods)
     readings = _method_readings(methods, request.shift)
@@ -465,9 +471,12 @@ def run_eval(request: EvalRequest) -> EvalReport:
         dir_acc = _direction_credit(scores[pos_mask], rev)
         return EvalRow(method, acc50, dir_acc, threshold, int(labels.size), n_dropped)
 
-    if request.threads > 1 and len(methods) > 1:
-        with ThreadPoolExecutor(max_workers=request.threads) as pool:
-            rows = tuple(pool.map(one, methods))
-    else:
-        rows = tuple(one(m) for m in methods)
+    # a mapped method trains on this thread: a worker would gain it nothing
+    # and keep the heap its training freed
+    pooled = [m for m in methods if m not in MAPPED_METHODS]
+    if request.threads < 2 or len(pooled) < 2:
+        return EvalReport(rows=tuple(one(m) for m in methods))
+    with ThreadPoolExecutor(max_workers=request.threads) as pool:
+        futures = {m: pool.submit(one, m) for m in pooled}
+        rows = tuple(futures[m].result() if m in futures else one(m) for m in methods)
     return EvalReport(rows=rows)

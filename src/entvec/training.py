@@ -7,7 +7,9 @@ scores the mapped pair, and sigma(score - tau) is read as the probability
 that the pair is a true hyponym pair.  Training is plain mini-batch
 gradient descent with a constant step size and seeded shuffling, so runs
 are bitwise reproducible.  ``train`` takes pairs already resolved to
-embedding rows (``evaluation.resolve_pairs``), so it reads no table.
+rows of one word matrix (``evaluation.resolve_pairs``), so it reads no
+table, and gathers each mini-batch's vectors from that matrix: a fold keeps
+its pairs' row numbers, never a copy of their vectors.
 
 Mapped vectors are always read as log-odds and scored by ``core``'s
 operators, saturation cap included; the duplicate/shift readings are
@@ -108,6 +110,7 @@ class TrainedFold:
     model: MappingModel
     history: tuple  # mean loss per epoch
     n_train: int
+    initial_loss: float  # the first batch's loss, before its step
 
 
 class TrainingDivergedError(ValueError):
@@ -204,8 +207,10 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
     pair n is hyponym ``words[hi[n]]``, hypernym ``words[gi[n]]``, label ``labels[n]``.
     Each Fold of ``folds`` trains on the pairs its ``train`` indexes, with
     its own deterministic substream of ``cfg.seed`` for initialization and
-    epoch shuffling.  tau starts at the mean raw score of the first batch,
-    centering initial predictions near 0.5.  A run whose loss, mapping or
+    epoch shuffling; each batch's vectors are gathered from ``words`` as it
+    is read.  tau starts at the mean raw score of the first batch, centering
+    initial predictions near 0.5, and ``TrainedFold.initial_loss`` is that
+    batch's loss before its step.  A run whose loss, mapping or
     mapped vectors (of finite inputs) stop being finite raises
     TrainingDivergedError, without a numpy warning.
     """
@@ -221,7 +226,7 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
             sel = np.asarray(fold.train, dtype=np.intp)
             if not sel.size:
                 raise ValueError(f"fold {fold_idx} has no training pairs")
-            h_all, g_all = words[hi[sel]], words[gi[sel]]
+            h_sel, g_sel = hi[sel], gi[sel]  # word rows, gathered per batch
             t_all = labels[sel].astype(np.float64)
             n = sel.size
             rng = np.random.default_rng([cfg.seed, fold_idx])
@@ -231,18 +236,22 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
                 perm = rng.permutation(n)
                 if epoch == 0:
                     first = perm[:cfg.batch_size]
-                    model.tau = float(np.mean(raw_scores(model, h_all[first], g_all[first])))
+                    model.tau = float(np.mean(raw_scores(
+                        model, words[h_sel[first]], words[g_sel[first]])))
                 total = 0.0
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     idx = perm[start:start + cfg.batch_size]
+                    h_raw, g_raw = words[h_sel[idx]], words[g_sel[idx]]
                     try:
                         loss, grad_w, grad_tau = _loss_and_grad_mats(
-                            model, h_all[idx], g_all[idx], t_all[idx], cfg.l2
+                            model, h_raw, g_raw, t_all[idx], cfg.l2
                         )
                     except ValueError:  # core rejects non-finite mapped vectors
-                        if not (np.isfinite(h_all[idx]).all() and np.isfinite(g_all[idx]).all()):
+                        if not (np.isfinite(h_raw).all() and np.isfinite(g_raw).all()):
                             raise  # the input's fault
                         loss = math.inf  # the mapping's, named just below
+                    if epoch == batch == 0:
+                        initial_loss = loss
                     total += loss * idx.size
                     if not math.isfinite(total):
                         raise TrainingDivergedError(fold_idx, epoch, batch, cfg.step_size)
@@ -252,7 +261,8 @@ def train(folds, rows, cfg: TrainConfig, op: str) -> list:
             # the last step's values are read by nothing else
             if not (np.isfinite(model.W).all() and math.isfinite(model.tau)):
                 raise TrainingDivergedError(fold_idx, epoch, batch, cfg.step_size)
-            results.append(TrainedFold(model=model, history=tuple(history), n_train=n))
+            results.append(TrainedFold(model=model, history=tuple(history), n_train=n,
+                                       initial_loss=initial_loss))
     return results
 
 

@@ -1,10 +1,11 @@
 import itertools
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
-from entvec import core, evaluation, interpret
+from entvec import core, evaluation, interpret, training
 from entvec.embeddings import EmbeddingTable
 from entvec.evaluation import (
     ALL_METHODS,
@@ -543,6 +544,57 @@ class TestRunEval:
         with pytest.raises(ValueError, match="unkdup shift must be finite, got inf"):
             run_eval(EvalRequest(dataset, table, methods=("dot", "unkdup-bwd"),
                                  shift=float("inf")))
+
+
+def disjoint_fixture(bad_row=None):
+    """12 pairs of 24 distinct words, dim 4; row ``bad_row``, if given, holds an inf."""
+    rng = np.random.default_rng(42)
+    matrix = rng.normal(size=(24, 4)).astype(np.float32)
+    if bad_row is not None:
+        matrix[bad_row, 2] = np.inf
+    table = EmbeddingTable([f"w{k}" for k in range(24)], matrix)
+    pairs = [WordPair(f"w{2 * k}", f"w{2 * k + 1}", k % 2) for k in range(12)]
+    return WordPairDataset(pairs), table
+
+
+class TestThreads:
+    """With threads > 1 the operator and baseline methods run on a pool, and the
+    mapped methods train on the calling thread; nothing else changes."""
+
+    METHODS = ("unkdup-bwd", "mapped-bwd", "dot", "mapped-dif")
+
+    @staticmethod
+    def request(methods, threads, bad_row=None):
+        dataset, table = disjoint_fixture(bad_row)
+        return EvalRequest(dataset, table, methods=methods, k_folds=3, threads=threads,
+                           train_config=TrainConfig(epochs=2, batch_size=4))
+
+    def test_mapped_methods_train_on_the_calling_thread(self, monkeypatch):
+        seen = []
+        train = training.train
+        monkeypatch.setattr(training, "train", lambda *args: seen.append(
+            threading.current_thread()) or train(*args))
+        threaded = run_eval(self.request(self.METHODS, threads=3))
+        assert seen == [threading.current_thread()] * 2
+        assert threaded == run_eval(self.request(self.METHODS, threads=1))
+
+    # the first method's check fails: the operator's on its words, or core's on
+    # the mapped vectors (w5 is a hypernym, mapped to x)
+    @pytest.mark.parametrize("methods, message", [
+        (METHODS, "raw vector contains non-finite values"),
+        (("mapped-bwd", "unkdup-bwd", "dot", "mapped-dif"),
+         "x contains non-finite values; clamp inputs first"),
+    ], ids=["operator-first", "mapped-first"])
+    def test_a_non_finite_word_fails_as_on_one_thread(self, methods, message):
+        for threads in (1, 3):
+            with pytest.raises(ValueError) as exc_info:
+                run_eval(self.request(methods, threads, bad_row=5))
+            assert (type(exc_info.value), str(exc_info.value)) == (ValueError, message)
+
+    def test_no_pool_for_fewer_than_two_pooled_methods(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", lambda **kw: pytest.fail("pool"))
+        report = run_eval(self.request(("mapped-bwd", "dot", "mapped-dif"), threads=3))
+        assert [row.method for row in report.rows] == ["mapped-bwd", "dot", "mapped-dif"]
 
 
 def saturated_word_fixture():

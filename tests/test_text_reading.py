@@ -170,6 +170,49 @@ class TestBlockWarnings:
         assert table.matrix.tolist() == [[k, -k] for k in range(23)]
 
 
+class TestBlockUtf8:
+    """The block path checks UTF-8 on the tokens only: numpy's reader rejects a
+    value that holds a byte that is not UTF-8, so ``line`` still names its line."""
+
+    @staticmethod
+    def with_value(tmp_path, value):
+        """``table_file`` with ``value`` as line 22's second value, mid-file."""
+        lines = table_file(tmp_path).split(b"\n")
+        fields = lines[21].split(b" ")
+        fields[2] = value
+        lines[21] = b" ".join(fields)
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("value", [b"\xff1.5", b"1.\xff5", b"1.5\xff", b"\xff", b"\xc3"],
+                             ids=["start", "middle", "end", "alone", "truncated"])
+    @pytest.mark.parametrize("keep", [None, KEEPS[2]], ids=["all", "some"])
+    def test_a_value_that_is_not_utf8(self, tmp_path, monkeypatch, parses, value, keep):
+        path = self.with_value(tmp_path, value)
+        got = outcomes(monkeypatch, path, keep)
+        per_line(monkeypatch)
+        want = outcome(load_text, path, keep)
+        assert want[0] is TextFormatError and want[2] == 22
+        assert want[3].startswith("not valid UTF-8 (")
+        assert got == [want] * len(BLOCKS)
+        assert parses["per-line"]  # the blocks holding line 22 fell back
+
+    @pytest.mark.parametrize("value", ["é", "١"])
+    @pytest.mark.parametrize("keep", [None, KEEPS[2]], ids=["all", "some"])
+    def test_a_non_ascii_value(self, tmp_path, monkeypatch, parses, value, keep):
+        path = self.with_value(tmp_path, value.encode("utf-8"))
+        got = outcomes(monkeypatch, path, keep)
+        per_line(monkeypatch)
+        want = outcome(load_text, path, keep)
+        if value == "é":
+            assert want == (TextFormatError, None, 22, "unparsable float in row (line 22)")
+        elif keep is None:  # float() reads it as 1, numpy's reader refuses it
+            assert np.frombuffer(want[2], np.float32).reshape(want[1])[20, 1] == 1.0
+        assert got == [want] * len(BLOCKS)
+        assert parses["per-line"]
+
+
 def tree_lines(interleave=False):
     """A binary tree of 12 nodes with dim 3, a negated edge and observations."""
     nodes = [f"node n{i} 3 {i}.25 -{i}.5 {i + 1}e-3" for i in range(12)]

@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from entvec.embeddings import EmbeddingTable
-from entvec.evaluation import WordPair, WordPairDataset, make_folds, resolve_pairs
+from entvec.embeddings import EmbeddingTable, load_text
+from entvec.evaluation import (
+    Fold,
+    WordPair,
+    WordPairDataset,
+    load_pairs,
+    make_folds,
+    resolve_pairs,
+)
 from entvec.training import (
     MappingModel,
     TrainConfig,
@@ -15,6 +24,8 @@ from entvec.training import (
     save_model,
     train,
 )
+
+from test_cli import write_disjoint_fixture
 
 
 def random_batch(rng, n, d, labels=None):
@@ -299,6 +310,38 @@ class TestTrain:
         for fold, trained in zip(folds, results):
             assert len(trained.history) == 5
             assert trained.n_train == len(fold.train) > 0
+
+    @pytest.mark.parametrize("step, ops, falls", [
+        (0.1, ("fwd", "bwd", "fact", "dif"), True),
+        (1e308, ("fwd", "fact"), False),
+    ], ids=["converges", "rises"])
+    def test_initial_loss_against_the_last_epoch(self, tmp_path, step, ops, falls):
+        # 6 training pairs a fold: one batch an epoch, whose first loss is history[0]
+        vectors, pairs = write_disjoint_fixture(tmp_path)
+        dataset = load_pairs(pairs)
+        folds = make_folds(dataset, 2, seed=0).folds
+        rows = resolve_pairs(dataset.pairs, load_text(vectors))[2:]
+        for op in ops:
+            for trained in train(folds, rows, TrainConfig(epochs=3, step_size=step), op=op):
+                assert trained.initial_loss == trained.history[0]
+                assert (trained.history[-1] < trained.initial_loss) == falls, op
+
+    def test_a_fold_keeps_no_copy_of_its_vectors(self):
+        # tracemalloc sees numpy's buffers: training one fold of 3000 pairs peaks
+        # below one (n_train, d_in) float64 copy of the pairs' vectors
+        rng = np.random.default_rng(5)
+        n, d_in, n_words = 3000, 300, 400
+        words = rng.normal(size=(n_words, d_in))
+        hi, gi = rng.integers(0, n_words, size=(2, n))
+        rows = (words, hi, gi, rng.integers(0, 2, size=n))
+        fold = Fold(train=tuple(range(n)), test=(), n_filtered=0)
+        tracemalloc.start()
+        try:
+            train([fold], rows, TrainConfig(epochs=1, d_out=4), op="bwd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d_in * 8
 
 
 class TestModelSerialization:
