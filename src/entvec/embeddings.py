@@ -57,24 +57,37 @@ rounded as ``np.array(values, np.float32)`` rounds it; a value beyond
 float32's range loads as +-inf, as the literal ``inf`` does, without a
 warning.  A block's kept rows go into the matrix in one copy.
 
-``load_binary`` reads the file in chunks of ``_CHUNK`` bytes in one scan
-and copies the kept rows into the matrix, which it asks for room once a
-refill, for every entry the buffer can still give; what it returns or
-raises, byte offsets included, does not depend on where the chunk
-boundaries fall.  Its loop only refills or raises: an entry that is not
-wholly in the buffer with a byte after its row (so its newline is known)
-goes through it, the only code that refills the buffer or raises a format
-error; a row cut short by the file's end is reported as a duplicate when
-its token is one.  Then one take step (``_take``) takes all of the
-buffer's whole entries at once: one regular-expression split finds them,
-and its last branch takes the rest of the buffer at the first place that
-is not an entry, so the split never searches on from there; one set call
-checks their token bytes for repeats, one gather copies the kept rows and
-one decode reads the kept tokens.  An entry takes at least a space and
-``4 * dim`` bytes, so a header promising more than the file can hold
-raises CountMismatchError or TruncatedFileError where the data runs out;
-past the entries the reported size can hold, one read takes the rest of
-the file, so a row longer than the file is never buffered a chunk at a time.
+``load_binary`` scans the file once.  A regular file that reports its size
+is mapped read-only a window at a time (``mmap``): a window starts at the
+allocation-granularity page that holds the current entry and reaches
+``_CHUNK`` bytes past that entry, further when the entry needs it, but never
+past the reported size.  A stream, a file that reports 0 bytes and any bytes
+past the reported size are read in chunks of ``_CHUNK`` bytes, each joined
+to the buffer's unread tail.  The take step reads a window in place; it
+copies the kept rows out, so no table holds a map, and every map is closed
+before the load returns or raises.  A file truncated by another process
+during a load is not an error this module reports: a window mapped after the
+truncation raises ValueError (from ``mmap``), and reading a page that a
+window mapped before it has lost raises SIGBUS, which ends the process.
+What ``load_binary`` returns or raises, byte offsets included, does not
+depend on where the windows or chunks end.  Its loop only refills or
+raises: an entry that is not wholly in the buffer with a byte after its row
+(so its newline is known) goes through it, the only code that refills the
+buffer or raises a format error; a row cut short by the file's end is
+reported as a duplicate when its token is one.  Then one take step
+(``_take``) takes all of the buffer's whole entries at once: one
+regular-expression split finds them, and its last branch takes the rest of
+the buffer at the first place that is not an entry, so the split never
+searches on from there; one set or dict call checks their tokens for
+repeats, one gather copies the kept rows and one decode reads the kept
+tokens.  A full load checks repeats against the vocabulary it builds, the
+dict of each token to its row that the table adopts, so it holds no second
+index of the tokens; a ``keep`` load checks them against a set of token
+bytes.  An entry takes at least a space and ``4 * dim`` bytes, so a header
+promising more than the file can hold raises CountMismatchError or
+TruncatedFileError where the data runs out; past the entries the reported
+size can hold, one read takes the rest of the file, so a row longer than
+the file is never buffered a chunk at a time.
 The header line may hold at most 128 bytes and a token at most 65536; a
 longer one raises MalformedHeaderError.
 
@@ -102,6 +115,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import os
 import re
 import stat
@@ -109,7 +123,7 @@ from itertools import compress
 
 import numpy as np
 
-_CHUNK = 1 << 20  # bytes per read in load_binary; results do not depend on it
+_CHUNK = 1 << 20  # bytes per map window or read in load_binary; results do not depend on it
 _TEXT_BLOCK = 1 << 18  # characters a text parser reads per block; results do not depend on it
 _MAX_TOKEN_BYTES = 1 << 16  # longest binary token, read and written
 
@@ -191,6 +205,17 @@ class EmbeddingTable:
                 seen.add(tok)
         self._matrix = matrix.view()
         self._matrix.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, vocab: dict, matrix: np.ndarray) -> EmbeddingTable:
+        """The table whose row ``vocab[token]`` is ``token``'s, taking ``vocab`` as its
+        own: a loader that has built it, rows in order and checked for repeats,
+        makes no second index of the tokens."""
+        table = cls.__new__(cls)
+        table._vocab = vocab
+        table._matrix = np.asarray(matrix, dtype=np.float32).view()
+        table._matrix.setflags(write=False)
+        return table
 
     @property
     def dim(self) -> int:
@@ -290,13 +315,21 @@ class _Rows:
             grown = min(max(rows, min(2 * have, self.count)), self.most)
             self.matrix.resize(grown * self.dim, refcheck=False)
 
-    def table(self, tokens: list) -> EmbeddingTable:
-        """The table of ``tokens`` and the first ``len(tokens)`` rows; frees the rest."""
+    def table(self, tokens) -> EmbeddingTable:
+        """The table of ``tokens`` and the first ``len(tokens)`` rows; frees the rest.
+
+        ``tokens`` is a list, or a vocabulary (a dict of each token to its
+        row, in row order, checked for repeats as it was built) that the
+        table adopts.
+        """
         self.matrix.resize(len(tokens) * self.dim, refcheck=False)
-        return EmbeddingTable(tokens, self.matrix.reshape(len(tokens), self.dim))
+        matrix = self.matrix.reshape(len(tokens), self.dim)
+        if isinstance(tokens, dict):
+            return EmbeddingTable._adopt(tokens, matrix)
+        return EmbeddingTable(tokens, matrix)
 
 
-def _take(data: bytes, eof: bool, row_bytes: int, most: int, seen: set, keep, offset: int,
+def _take(data: memoryview, eof: bool, row_bytes: int, most: int, seen, keep, offset: int,
           out: np.ndarray):
     """Take the whole entries at the start of ``data``, at most ``most``, in one pass.
 
@@ -306,12 +339,14 @@ def _take(data: bytes, eof: bool, row_bytes: int, most: int, seen: set, keep, of
     One split of ``data`` finds them all; its last branch takes the rest of
     ``data`` at the first place that is not an entry, so the split never
     searches on from there (searching would try each later byte as a token's
-    start, up to 65536 bytes each).  Every token goes into ``seen``; a repeat
-    raises DuplicateTokenError at ``offset`` plus its place in ``data``, the
-    first in file order.  The kept entries (those in ``keep``, every one when
-    it is None) have their rows copied into ``out``, a uint8 array of
-    ``row_bytes`` a row with room for them.  Returns the bytes and the entries
-    taken, and the kept tokens, in file order.
+    start, up to 65536 bytes each).  Every token goes into ``seen``: with
+    ``keep`` None it is the vocabulary, a dict of each decoded token to its
+    row, else a set of token bytes.  A repeat raises DuplicateTokenError at
+    ``offset`` plus its place in ``data``, the first in file order.  The kept
+    entries (those in ``keep``, every one when it is None) have their rows
+    copied into ``out``, a uint8 array of ``row_bytes`` a row with room for
+    them.  Returns the bytes and the entries taken, and the kept tokens, in
+    file order.  Nothing it returns or leaves behind holds ``data``.
     """
     # compiled only here, once an entry is whole: a row longer than the file may
     # be past the longest repeat the pattern can hold
@@ -325,30 +360,38 @@ def _take(data: bytes, eof: bool, row_bytes: int, most: int, seen: set, keep, of
     newlines = np.fromiter(map(len, nls), np.intp, len(nls))
     ends = np.cumsum(np.fromiter(map(len, toks), np.intp, len(toks)) + newlines + (row_bytes + 1))
     rows = ends - newlines - row_bytes  # where each row starts in data
+    # decoding maps bytes to strings one to one, so either key finds the same repeats
+    words = _decode(toks) if keep is None else toks
     before = len(seen)
-    fresh = seen.isdisjoint(toks)  # of the tokens of earlier buffers
+    fresh = (seen.keys() if keep is None else seen).isdisjoint(words)  # of earlier buffers
     if fresh:
-        seen.update(toks)
-    if not fresh or len(seen) != before + len(toks):  # a repeat: name the first
+        seen.update(zip(words, range(before, before + len(words))) if keep is None else words)
+    if not fresh or len(seen) != before + len(words):  # a repeat: name the first
         earlier, old = set(), () if fresh else seen
-        for k, token in enumerate(toks):
+        for k, token in enumerate(words):
             if token in earlier or token in old:
                 break
             earlier.add(token)
-        token = token.decode("utf-8", errors="surrogateescape")
+        token = toks[k].decode("utf-8", errors="surrogateescape")
         raise DuplicateTokenError(f"duplicate token {token!r}",
                                   offset=offset + int(rows[k]) - len(toks[k]) - 1)
     if keep is not None:
         hits = keep.intersection(toks)
         kept = list(compress(range(len(toks)), map(hits.__contains__, toks))) if hits else []
-        toks, rows = [toks[k] for k in kept], rows[kept]
-    # no byte of a token is a space, and no byte sequence decodes across one
-    words = b" ".join(toks).decode("utf-8", errors="surrogateescape").split(" ") if toks else []
-    window = np.lib.stride_tricks.as_strided(  # row r of it is row_bytes bytes from byte r
+        words, rows = _decode([toks[k] for k in kept]), rows[kept]
+    # row r of the strided view is the row_bytes bytes from byte r; np.take would
+    # copy all of it first.  Unnamed, the view is gone on any exit, so data can
+    # be released and its map closed
+    out[:len(rows)] = np.lib.stride_tricks.as_strided(
         np.frombuffer(data, np.uint8), (len(data) - row_bytes + 1, row_bytes), (1, 1),
-        writeable=False)
-    out[:len(rows)] = window[rows]  # np.take would copy all of window first
+        writeable=False)[rows]
     return int(ends[-1]), len(ends), words
+
+
+def _decode(toks: list) -> list:
+    """Binary tokens as strings, in one decode: no byte of a token is a space, and
+    no byte sequence decodes across one."""
+    return b" ".join(toks).decode("utf-8", errors="surrogateescape").split(" ") if toks else []
 
 
 def load_binary(path, keep=None) -> EmbeddingTable:
@@ -376,61 +419,91 @@ def load_binary(path, keep=None) -> EmbeddingTable:
         # entries from `rows` on lie past the reported size, which holds less
         # than a row after them, unless the file is longer than it reports
         rows = count if size is None else size // (row_bytes + 1)
-        tokens = []  # kept, in file order
-        seen = set()  # every token's bytes, kept or not
-        buf = b""
+        # a regular file is mapped a window at a time up to the size it reports;
+        # a stream, a file of unknown size and the bytes past `top` are read
+        top = base + (size or 0)
+        # a full load's vocabulary (token -> row) is its repeat check; a keep=
+        # load checks every token's bytes, and lists the kept tokens
+        seen = {} if keep is None else set()
+        tokens = seen if keep is None else []  # kept, in file order
+        buf, window = b"", None  # window: buf, while it is a map
         pos = end = 0  # start of the current entry in buf, and len(buf)
         eof = False
         limit = _MAX_TOKEN_BYTES
         i = 0  # entries taken
-        while i < count:
-            # the entry at pos is not wholly in buf with a byte after its row (its
-            # optional newline): read until it is, or until the file ends; a
-            # refill keeps the entry's unread bytes, so every offset is base +
-            # index into buf.  From entry `rows` on, one read takes the rest of
-            # the file, so a row longer than the file is not buffered a chunk at
-            # a time
-            sp = buf.find(b" ", pos, pos + limit + 1)
-            stop = sp + 1 + row_bytes
-            while not eof and (end - pos <= limit if sp < 0 else stop >= end):
-                # read before the old buffer is dropped: freed first, its
-                # memory can go back to the OS and fault in again for the read
-                tail, base = buf[pos:], base + pos
-                buf = tail + fh.read(_CHUNK if i < rows else -1)
-                pos, end, eof = 0, len(buf), len(buf) == len(tail)
+        try:
+            while i < count:
+                # the entry at pos is not wholly in buf with a byte after its row
+                # (its optional newline): refill until it is, or until the file
+                # ends; a refill keeps the entry's unread bytes, so every offset
+                # is base + index into buf, and fh stays at buf's end
                 sp = buf.find(b" ", pos, pos + limit + 1)
                 stop = sp + 1 + row_bytes
-            if sp < 0:
-                if end - pos > limit:
-                    raise MalformedHeaderError(
-                        f"no delimiter within {limit} bytes", offset=base + pos
-                    )
-                if pos == end:
-                    raise CountMismatchError(
-                        f"header promises {count} entries but the file has {i}",
-                        offset=base + pos,
-                    )
-                raise TruncatedFileError("file ends mid-token", offset=base + pos)
-            if stop > end:
-                raw = buf[pos:sp]
-                if raw in seen:  # a repeat cut short is reported as a repeat
+                while not eof and (end - pos <= limit if sp < 0 else stop >= end):
+                    at = base + pos  # the entry's file offset
+                    if base + end < top:
+                        # map from the page that holds the entry to _CHUNK past
+                        # it, or to what the entry needs (room to find its
+                        # space, or its row and the byte after), but not past top
+                        need = at + limit + 1 if sp < 0 else base + stop + 1
+                        base = at - at % mmap.ALLOCATIONGRANULARITY
+                        length = min(top, max(at + _CHUNK, need)) - base
+                        if window is not None:
+                            window.close()
+                        window = buf = mmap.mmap(fh.fileno(), length, access=mmap.ACCESS_READ,
+                                                 offset=base)
+                        pos, end = at - base, len(buf)
+                        fh.seek(base + end)
+                    else:
+                        # from entry `rows` on, one read takes the rest of the
+                        # file, so a row longer than the file is not buffered a
+                        # chunk at a time.  Read before the old buffer is dropped:
+                        # freed first, its memory can go back to the OS and fault
+                        # in again for the read
+                        tail, base = buf[pos:], at
+                        if window is not None:
+                            window.close()
+                            window = None
+                        buf = tail + fh.read(_CHUNK if i < rows else -1)
+                        pos, end, eof = 0, len(buf), len(buf) == len(tail)
+                    sp = buf.find(b" ", pos, pos + limit + 1)
+                    stop = sp + 1 + row_bytes
+                if sp < 0:
+                    if end - pos > limit:
+                        raise MalformedHeaderError(
+                            f"no delimiter within {limit} bytes", offset=base + pos
+                        )
+                    if pos == end:
+                        raise CountMismatchError(
+                            f"header promises {count} entries but the file has {i}",
+                            offset=base + pos,
+                        )
+                    raise TruncatedFileError("file ends mid-token", offset=base + pos)
+                if stop > end:
+                    raw = buf[pos:sp]
                     token = raw.decode("utf-8", errors="surrogateescape")
-                    raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
-                raise TruncatedFileError(
-                    f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
+                    if (token if keep is None else raw) in seen:  # a repeat cut short
+                        raise DuplicateTokenError(f"duplicate token {token!r}", offset=base + pos)
+                    raise TruncatedFileError(
+                        f"file ends inside a {row_bytes}-byte vector", offset=base + sp + 1
+                    )
+                # room for every entry buf can still give
+                sink.room(len(tokens) + min(count - i, (end - pos) // (row_bytes + 1)))
+                with memoryview(buf)[pos:] as data:
+                    taken, entries, words = _take(
+                        data, eof, row_bytes, count - i, seen, keep, base + pos,
+                        sink.matrix.view(np.uint8).reshape(-1, row_bytes)[len(tokens):])
+                if keep is not None:
+                    tokens += words
+                pos, i = pos + taken, i + entries
+            if pos < end or fh.read(1):
+                raise CountMismatchError(
+                    f"file continues past the {count} promised entries", offset=base + pos
                 )
-            # room for every entry buf can still give
-            sink.room(len(tokens) + min(count - i, (end - pos) // (row_bytes + 1)))
-            taken, entries, words = _take(
-                buf[pos:], eof, row_bytes, count - i, seen, keep, base + pos,
-                sink.matrix.view(np.uint8).reshape(-1, row_bytes)[len(tokens):])
-            tokens += words
-            pos, i = pos + taken, i + entries
-        if pos < end or fh.read(1):
-            raise CountMismatchError(
-                f"file continues past the {count} promised entries", offset=base + pos
-            )
-    del seen  # the table's vocabulary replaces it; do not hold both
+        finally:
+            if window is not None:
+                window.close()
+    del seen  # a keep= load's set of every token's bytes: the table does not hold it
     return sink.table(tokens)
 
 

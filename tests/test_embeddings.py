@@ -534,10 +534,11 @@ class TestKeep:
 
     def test_memory_follows_the_kept_rows(self, tmp_path):
         # 20 000 x 300 float32 is a 24 MB matrix; keeping 10 rows must peak
-        # far below it.  The peak (5.0 MB) is mostly the set of token bytes
-        # seen (2.9 MB at the end of the file), which grows with the file; the
-        # rest is read buffers: at a refill, the old buffer (dropped only
-        # after the read), its unread tail, one 1 MB chunk and their join.
+        # far below it.  The peak (3.5 MB) is mostly the set of token bytes
+        # seen (2.9 MB at the end of the file, 3.4 MB while its table last
+        # grows), which grows with the file.  The file is read through map
+        # windows, which tracemalloc does not count; a window's split and row
+        # offsets add about 0.1 MB.
         rng = np.random.default_rng(31)
         tokens = [f"w{k}" for k in range(20_000)]
         matrix = rng.standard_normal((len(tokens), 300), dtype=np.float32)
@@ -554,6 +555,30 @@ class TestKeep:
         rows = [k for k, t in enumerate(tokens) if t in keep]
         assert kept.tokens == [tokens[k] for k in rows]
         assert kept.matrix.tobytes() == matrix[rows].tobytes()
+
+
+class TestBinaryMemory:
+    def test_a_full_load_holds_one_index_and_no_read_buffers(self, tmp_path):
+        # TestKeep's table.  A full load checks repeats against the vocabulary
+        # it builds for the table, and reads a regular file through map
+        # windows, which tracemalloc does not count: it peaks 1.2 MB above what
+        # it keeps, mostly one window's gather of its rows.  A set of token
+        # bytes beside the vocabulary and joined 1 MB reads peaked 4.2 MB above
+        rng = np.random.default_rng(31)
+        tokens = [f"w{k}" for k in range(20_000)]
+        matrix = rng.standard_normal((len(tokens), 300), dtype=np.float32)
+        path = tmp_path / "big.bin"
+        write_binary(EmbeddingTable(tokens, matrix), path)
+        tracemalloc.start()
+        try:
+            table = load_binary(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained > matrix.nbytes
+        assert peak - retained < 2.5e6, (peak, retained)
+        assert table.tokens == tokens
+        assert table.matrix.tobytes() == matrix.tobytes()
 
 
 class TestTextValues:
